@@ -1,10 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the benchmark suites.
 
-Each benchmark regenerates one of the paper's artifacts (see
-DESIGN.md's per-experiment index E1-E12).  Benchmarks double as
-correctness checks: every timed operation asserts the paper's claim on
-its result, so ``pytest benchmarks/ --benchmark-only`` re-establishes
-the paper while measuring it.
+Each ``test_eNN_*.py`` module regenerates one experiment: a paper
+artifact or a measured floor of a later subsystem.  Benchmarks double as correctness checks: every timed operation asserts
+the paper's claim on its result, so ``pytest benchmarks/
+--benchmark-only`` re-establishes the paper while measuring it.
+Seeded inputs and live workloads for the floors live in
+``floor_workloads.py``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import random
 
 import pytest
 
+from floor_workloads import SEED
+
 
 @pytest.fixture
 def rng() -> random.Random:
-    return random.Random(19841982)
+    return random.Random(SEED)
 
 
 def pytest_configure(config):

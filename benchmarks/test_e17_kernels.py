@@ -10,31 +10,22 @@ code in the same process:
 
 * the single-decision microbenchmark must be >=3x faster than the
   naive BFS;
-* chase-to-fixpoint must be >=2x faster than the naive rescan;
-* ``repro bench`` must produce the committed baseline report
-  (``BENCH_e18.json`` since E18) and its baseline comparison must
-  gate regressions.
+* chase-to-fixpoint must be >=2x faster than the naive rescan.
 """
-
-import json
-import os
 
 import pytest
 
-from repro import bench
+from floor_workloads import best_seconds, chase_workload, decision_workload
 from repro.core.fdind_chase import ChaseEngine
 from repro.core.ind_decision import decide_ind, decide_ind_naive, index_by_lhs
 from repro.core.ind_kernel import KernelIndex
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
 
 
 @pytest.mark.artifact("kernel-decision")
 def test_single_decision_at_least_3x_faster_than_naive():
     """Acceptance criterion: the kernel BFS >=3x the naive BFS on the
     500-premise decision workload (prebuilt indexes on both sides)."""
-    _schema, premises, target, _targets = bench.decision_workload()
+    _schema, premises, target = decision_workload()
     kernels = KernelIndex(premises)
     naive_index = index_by_lhs(premises)
 
@@ -43,8 +34,8 @@ def test_single_decision_at_least_3x_faster_than_naive():
     assert fast.implied == slow.implied == False  # noqa: E712 - explicit
     assert fast.explored == slow.explored
 
-    kernel_cost = bench.best_seconds(lambda: decide_ind(target, kernels))
-    naive_cost = bench.best_seconds(
+    kernel_cost = best_seconds(lambda: decide_ind(target, kernels))
+    naive_cost = best_seconds(
         lambda: decide_ind_naive(target, naive_index)
     )
     speedup = naive_cost / kernel_cost
@@ -58,7 +49,7 @@ def test_single_decision_at_least_3x_faster_than_naive():
 def test_chase_to_fixpoint_at_least_2x_faster_than_naive():
     """Acceptance criterion: semi-naive chase >=2x the naive rescan on
     the chain workload (equal rounds and equal final instance size)."""
-    schema, deps, build_instance = bench.chase_workload()
+    schema, deps, build_instance = chase_workload()
     semi = ChaseEngine(schema, deps, strategy="semi-naive")
     naive = ChaseEngine(schema, deps, strategy="naive")
 
@@ -69,8 +60,8 @@ def test_chase_to_fixpoint_at_least_2x_faster_than_naive():
     assert (semi_outcome.instance.total_tuples()
             == naive_outcome.instance.total_tuples())
 
-    semi_cost = bench.best_seconds(lambda: semi.run(build_instance()))
-    naive_cost = bench.best_seconds(lambda: naive.run(build_instance()))
+    semi_cost = best_seconds(lambda: semi.run(build_instance()))
+    naive_cost = best_seconds(lambda: naive.run(build_instance()))
     speedup = naive_cost / semi_cost
     assert speedup >= 2.0, (
         f"semi-naive chase must be >=2x the naive rescan, got {speedup:.1f}x "
@@ -84,7 +75,7 @@ def test_noop_rounds_scan_deltas_not_rows():
     observed through the work counter: across a whole run the
     semi-naive engine examines each row version a constant number of
     times, while the naive engine rescans every row in every round."""
-    schema, deps, build_instance = bench.chase_workload()
+    schema, deps, build_instance = chase_workload()
     semi_outcome = ChaseEngine(schema, deps, strategy="semi-naive").run(
         build_instance()
     )
@@ -98,78 +89,10 @@ def test_noop_rounds_scan_deltas_not_rows():
     )
 
 
-@pytest.mark.artifact("bench-harness")
-def test_bench_harness_writes_a_report(tmp_path):
-    """``repro bench`` produces the BENCH_*.json format end to end."""
-    report = bench.run_benchmarks(names=["single_decide"], repeats=3)
-    path = tmp_path / "BENCH_test.json"
-    bench.write_report(report, str(path))
-    loaded = bench.load_report(str(path))
-    assert loaded["suite"] == bench.SUITE
-    assert loaded["schema_version"] == bench.SCHEMA_VERSION
-    entry = loaded["workloads"]["single_decide"]
-    assert entry["seconds"] > 0
-    assert entry["ops_per_sec"] > 0
-    assert entry["meta"]["speedup_vs_naive"] > 1.0
-
-
-@pytest.mark.artifact("bench-harness")
-def test_committed_baseline_report_is_complete():
-    """The committed baseline snapshot covers every named workload."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    for name, entry in report["workloads"].items():
-        assert entry["seconds"] > 0, name
-    assert report["workloads"]["single_decide"]["meta"]["speedup_vs_naive"] >= 3.0
-    assert report["workloads"]["chase_fixpoint"]["meta"]["speedup_vs_naive"] >= 2.0
-
-
-@pytest.mark.artifact("bench-harness")
-def test_regression_gate_flags_slowdowns():
-    """The baseline comparison the CI job runs: faster or equal passes,
-    a >25% slowdown is reported."""
-    baseline = {"workloads": {"w": {"seconds": 0.100}}}
-    ok = {"workloads": {"w": {"seconds": 0.110}}}
-    slow = {"workloads": {"w": {"seconds": 0.200}}}
-    new_only = {"workloads": {"fresh": {"seconds": 1.0}}}
-    assert bench.compare_reports(ok, baseline) == []
-    regressions = bench.compare_reports(slow, baseline)
-    assert [r.workload for r in regressions] == ["w"]
-    assert regressions[0].ratio == pytest.approx(2.0)
-    # a workload the baseline has never seen is not a regression
-    assert bench.compare_reports(new_only, baseline) == []
-
-
-@pytest.mark.artifact("bench-harness")
-def test_regression_gate_normalizes_by_calibration():
-    """A uniformly slower machine (2x calibration, 2x workload) is not
-    a regression; the same workload time on a 2x *faster* machine is."""
-    baseline = {
-        "calibration_seconds": 0.010,
-        "workloads": {"w": {"seconds": 0.100}},
-    }
-    slow_machine = {
-        "calibration_seconds": 0.020,
-        "workloads": {"w": {"seconds": 0.200}},
-    }
-    fast_machine = {
-        "calibration_seconds": 0.005,
-        "workloads": {"w": {"seconds": 0.100}},
-    }
-    assert bench.compare_reports(slow_machine, baseline) == []
-    assert [r.workload for r in bench.compare_reports(fast_machine, baseline)] == ["w"]
-
-
 @pytest.mark.artifact("kernel-decision")
 def test_timed_single_decide(benchmark):
     """Timed artifact: the kernel decision path."""
-    _schema, premises, target, _targets = bench.decision_workload()
+    _schema, premises, target = decision_workload()
     kernels = KernelIndex(premises)
     result = benchmark(lambda: decide_ind(target, kernels))
     assert not result.implied
@@ -178,7 +101,7 @@ def test_timed_single_decide(benchmark):
 @pytest.mark.artifact("kernel-chase")
 def test_timed_chase_fixpoint(benchmark):
     """Timed artifact: the semi-naive chase to fixpoint."""
-    schema, deps, build_instance = bench.chase_workload()
+    schema, deps, build_instance = chase_workload()
     engine = ChaseEngine(schema, deps, strategy="semi-naive")
     outcome = benchmark.pedantic(
         lambda inst: engine.run(inst),

@@ -11,34 +11,26 @@ real code in the same process:
   500-premise session) must be >=5x faster than the PR-3 kernel BFS
   over the identical query stream — the in-process ratio is its own
   calibration (both sides share one interpreter and one machine, so
-  machine speed divides out exactly as in
-  :func:`repro.bench.compare_reports`' normalization);
+  machine speed divides out);
 * verdicts and witness chains stay identical to both retained oracles
   after arbitrary add/retract sequences (also pinned on random
-  schemas by ``tests/properties/test_property_reach.py``);
-* the committed trajectory file carries per-commit history for the
-  regression gate.
+  schemas by ``tests/properties/test_property_reach.py``).
 """
-
-import json
-import os
 
 import pytest
 
-from repro import bench
+from floor_workloads import best_seconds, serving_workload
 from repro.core.ind_decision import chain_is_valid, decide_ind, decide_ind_naive
+from repro.core.ind_kernel import KernelIndex
 from repro.deps.ind import IND
 from repro.engine import ReasoningSession
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_TRAJECTORY = os.path.join(REPO_ROOT, bench.COMMITTED_TRAJECTORY)
 
 
 @pytest.mark.artifact("reach-serving")
 def test_repeated_decide_hot_at_least_5x_faster_than_kernel_bfs():
     """Acceptance criterion: the hot serving loop >=5x the PR-3 kernel
     BFS on a 500-premise session (identical queries, both warm)."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     session = ReasoningSession(schema, premises)
     calls = 2_000  # enough to swamp timer noise, cheap enough for CI
     queries = [pool[i % len(pool)] for i in range(calls)]
@@ -56,8 +48,8 @@ def test_repeated_decide_hot_at_least_5x_faster_than_kernel_bfs():
         for target in queries:
             decide_ind(target, kernels)
 
-    hot_cost = bench.best_seconds(hot, repeats=3)
-    bfs_cost = bench.best_seconds(bfs, repeats=3)
+    hot_cost = best_seconds(hot, repeats=3)
+    bfs_cost = best_seconds(bfs, repeats=3)
     speedup = bfs_cost / hot_cost
     assert speedup >= 5.0, (
         f"indexed serving must be >=5x the kernel BFS, got {speedup:.1f}x "
@@ -69,7 +61,7 @@ def test_repeated_decide_hot_at_least_5x_faster_than_kernel_bfs():
 def test_verdicts_and_chains_survive_add_retract_sequences():
     """Acceptance criterion: after an arbitrary add/retract sequence
     the index agrees with both oracles, chain for chain."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     session = ReasoningSession(schema, premises)
     live = list(premises)
     extra = [
@@ -95,7 +87,7 @@ def test_verdicts_and_chains_survive_add_retract_sequences():
         for target in pool:
             answer = session.implies(target)
             naive = decide_ind_naive(target, list(live))
-            kernel = decide_ind(target, bench.KernelIndex(live))
+            kernel = decide_ind(target, KernelIndex(live))
             assert answer.verdict == naive.implied == kernel.implied, (
                 f"verdict drift on {target} after {op} {dep}"
             )
@@ -111,7 +103,7 @@ def test_verdicts_and_chains_survive_add_retract_sequences():
 def test_hot_stream_compiles_at_most_once_per_component():
     """The amortization claim itself: 10k calls, zero recompiles after
     the warmup, every post-warmup answer a cache hit."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     session = ReasoningSession(schema, premises)
     session.implies_all(pool)
     compiles = session.index.reach_index.compiles
@@ -122,55 +114,10 @@ def test_hot_stream_compiles_at_most_once_per_component():
     assert session.cache_hits == hits_before + 1_000
 
 
-@pytest.mark.artifact("bench-trajectory")
-def test_committed_trajectory_has_history():
-    """BENCH_trajectory.json is committed, is a list, and every entry
-    carries what the regression gate and trend-readers consume."""
-    assert os.path.exists(COMMITTED_TRAJECTORY), (
-        f"{bench.COMMITTED_TRAJECTORY} missing; append a run with "
-        f"`python -m repro bench --trajectory {bench.COMMITTED_TRAJECTORY}`"
-    )
-    with open(COMMITTED_TRAJECTORY, encoding="utf-8") as fp:
-        entries = json.load(fp)
-    assert isinstance(entries, list) and entries
-    for entry in entries:
-        assert entry["commit"]
-        assert entry["created"]
-        assert entry["calibration_seconds"] > 0
-        assert entry["workloads"]
-    # The newest entry covers the full current suite and doubles as
-    # the gate baseline.
-    assert set(entries[-1]["workloads"]) == set(bench.WORKLOADS)
-    assert bench.baseline_from(entries) == entries[-1]
-
-
-@pytest.mark.artifact("bench-trajectory")
-def test_append_trajectory_round_trips(tmp_path):
-    """``--trajectory`` appends entries without losing history."""
-    report = {
-        "created": "2026-01-01T00:00:00+00:00",
-        "suite": bench.SUITE,
-        "calibration_seconds": 0.01,
-        "workloads": {"w": {"seconds": 0.5}},
-    }
-    path = tmp_path / "BENCH_trajectory.json"
-    first = bench.append_trajectory(report, str(path), commit="aaa1111")
-    second = bench.append_trajectory(report, str(path), commit="bbb2222")
-    assert len(first) == 1 and len(second) == 2
-    loaded = bench.load_report(str(path))
-    assert [entry["commit"] for entry in loaded] == ["aaa1111", "bbb2222"]
-    assert bench.baseline_from(loaded)["commit"] == "bbb2222"
-    # A non-list file refuses to masquerade as a trajectory.
-    bad = tmp_path / "report.json"
-    bench.write_report(report, str(bad))
-    with pytest.raises(ValueError):
-        bench.append_trajectory(report, str(bad))
-
-
 @pytest.mark.artifact("reach-serving")
 def test_timed_repeated_decide_hot(benchmark):
     """Timed artifact: one hot indexed decision (mixed pool)."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     session = ReasoningSession(schema, premises)
     session.implies_all(pool)
     cycle = iter(range(10**9))

@@ -13,33 +13,26 @@ process:
 * ``repro discover`` on a generated Armstrong database for a random
   IND set Sigma must return a cover C with ``Sigma |= C`` and
   ``C |= Sigma`` (the Armstrong round-trip; also pinned on random
-  schemas by ``tests/properties/test_property_discovery.py``);
-* the committed suite report records the ``discovery_mine`` workload
-  and its measured pruning factor.
+  schemas by ``tests/properties/test_property_discovery.py``).
 """
 
-import json
-import os
 import random
 
 import pytest
 
-from repro import bench
+from floor_workloads import SEED, discovery_workload
 from repro.core.armstrong_ind import armstrong_database
 from repro.discovery import discover, discover_inds
 from repro.discovery.report import PhaseCounters
 from repro.engine import ReasoningSession
 from repro.workloads.random_deps import random_inds, random_schema
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
-
 
 @pytest.mark.artifact("discovery-pruning")
 def test_pruning_validates_at_least_2x_fewer_candidates():
     """Acceptance criterion: on the recorded workload the pruned lift
     validates >=2x fewer n-ary candidates, same discovered set."""
-    db = bench.discovery_workload()
+    db = discovery_workload()
     pruned = PhaseCounters()
     baseline = PhaseCounters()
     found_pruned = discover_inds(
@@ -66,7 +59,7 @@ def test_pruning_validates_at_least_2x_fewer_candidates():
 @pytest.mark.artifact("discovery-pruning")
 def test_pruned_rows_scanned_shrink_with_validations():
     """The point of pruning: rows touched shrink with validations."""
-    db = bench.discovery_workload()
+    db = discovery_workload()
     pruned = PhaseCounters()
     baseline = PhaseCounters()
     discover_inds(db, counters=pruned, unary_counters=PhaseCounters())
@@ -80,7 +73,7 @@ def test_pruned_rows_scanned_shrink_with_validations():
 def test_armstrong_round_trip_on_random_ind_sets():
     """Acceptance criterion: discovery on an Armstrong database for a
     random Sigma returns a cover equivalent to Sigma under implies."""
-    rng = random.Random(bench.SEED)
+    rng = random.Random(SEED)
     for _round in range(5):
         schema = random_schema(rng, n_relations=3, min_arity=2, max_arity=3)
         sigma = random_inds(rng, schema, count=5, max_arity=2)
@@ -97,27 +90,9 @@ def test_armstrong_round_trip_on_random_ind_sets():
         )
 
 
-@pytest.mark.artifact("discovery-report")
-def test_committed_report_records_the_discovery_workload():
-    """The committed suite report still records the discovery workload
-    with its measured pruning factor (the e19 acceptance evidence rides
-    along in the current suite snapshot)."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    meta = report["workloads"]["discovery_mine"]["meta"]
-    assert meta["validation_ratio"] >= 2.0
-    assert meta["baseline_validated"] >= 2 * meta["nary_validated"]
-
-
 @pytest.mark.artifact("discovery-pruning")
 def test_timed_discovery_mine(benchmark):
     """Timed artifact: one full pruned discovery run."""
-    db = bench.discovery_workload()
+    db = discovery_workload()
     result = benchmark(lambda: discover(db, reduce=False))
     assert result.fds and result.inds

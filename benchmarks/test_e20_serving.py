@@ -11,32 +11,23 @@ real code in the same process:
   stream (same warm session, same targets, same verdicts);
 * two structurally identical tenants must report **one shared
   compile**: the second adopts the first's artifacts (one artifact-LRU
-  hit) and answers the whole target pool without recompiling;
-* the committed suite report records the ``serving_mixed``
-  workload with its measured coalescing speedup, latency percentiles,
-  and LRU evidence.
+  hit) and answers the whole target pool without recompiling.
 """
 
 import asyncio
-import json
-import os
 
 import pytest
 
-from repro import bench
+from floor_workloads import serving_mixed, serving_workload
 from repro.engine import ReasoningSession
 from repro.serve import Coalescer, TenantRegistry
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
 
 
 @pytest.mark.artifact("serving-coalescing")
 def test_coalescing_beats_per_request_dispatch_2x():
     """Acceptance criterion: the recorded read-heavy phase, measured
     live — coalesced vs per-request dispatch on identical traffic."""
-    result = bench.bench_serving_mixed(repeats=3)
-    meta = result.meta
+    meta = serving_mixed(repeats=3)
     assert meta["speedup_read_heavy"] >= 2.0, (
         f"coalescing must be >=2x per-request dispatch, got "
         f"{meta['speedup_read_heavy']:.2f}x "
@@ -54,7 +45,7 @@ def test_coalesced_verdicts_match_sequential():
     """Same traffic through the coalescer and via direct calls must
     produce identical verdicts (the speedup changes dispatch, never
     answers)."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     texts = [str(target) for target in pool]
     session = ReasoningSession(schema, premises)
     sequential = [session.implies(text).verdict for text in texts]
@@ -76,7 +67,7 @@ def test_identical_tenants_share_one_compile():
     """Acceptance criterion: the second structurally identical tenant
     adopts the first's compiled artifacts — one LRU hit, zero new
     reach-index compiles for the whole pool."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     registry = TenantRegistry()
     first = registry.create("a", schema, premises)
     warm = first.session.implies_all(pool)
@@ -93,32 +84,10 @@ def test_identical_tenants_share_one_compile():
     )
 
 
-@pytest.mark.artifact("serving-report")
-def test_committed_report_records_the_serving_suite():
-    """The committed suite report still records the serving workload
-    with its measured coalescing speedup (the e20 acceptance evidence
-    rides along in the current suite snapshot)."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    meta = report["workloads"]["serving_mixed"]["meta"]
-    assert meta["speedup_read_heavy"] >= 2.0
-    assert meta["lru_hits"] == 1
-    assert meta["second_tenant_shared"] is True
-    assert meta["adopted_recompiles"] == 0
-    for key in ("p50_ms", "p95_ms", "p99_ms"):
-        assert meta[key] > 0
-
-
 @pytest.mark.artifact("serving-coalescing")
 def test_timed_coalesced_read_phase(benchmark):
     """Timed artifact: one coalesced concurrent read burst."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     texts = [str(target) for target in pool]
     session = ReasoningSession(schema, premises)
     session.implies_all(pool)

@@ -14,23 +14,16 @@ same process:
 * a reopened state dir must reproduce the exact pre-crash state:
   equal ``premise_hash``, equal probe verdicts, and a keyed retry of
   an already-applied mutation must replay **exactly once** (recorded
-  result, no second version bump);
-* the committed ``BENCH_e21.json`` records the ``cold_start_recovery``
-  workload with its measured speedup over rebuild.
+  result, no second version bump).
 """
 
-import json
-import os
 import shutil
 import tempfile
 
 import pytest
 
-from repro import bench
+from floor_workloads import cold_start_recovery, serving_workload
 from repro.serve import StateDir, TenantRegistry
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
 
 
 @pytest.fixture
@@ -44,12 +37,11 @@ def state_root():
 def test_cold_boot_beats_full_rebuild():
     """Acceptance criterion: recovery from snapshot+tail, measured
     live against replaying the entire mutation history."""
-    result = bench.bench_cold_start_recovery(repeats=3)
-    meta = result.meta
+    meta = cold_start_recovery(repeats=3)
     assert meta["speedup_vs_full_rebuild"] >= 2.0, (
         f"snapshot+tail boot must beat full rebuild, got "
         f"{meta['speedup_vs_full_rebuild']:.2f}x "
-        f"(recover {result.seconds*1e3:.2f}ms vs rebuild "
+        f"(recover {meta['recover_seconds']*1e3:.2f}ms vs rebuild "
         f"{meta['rebuild_seconds']*1e3:.2f}ms)"
     )
     # The mechanism, not just the clock: the tail is bounded by the
@@ -62,7 +54,7 @@ def test_cold_boot_beats_full_rebuild():
 def test_recovered_state_is_verdict_equivalent(state_root):
     """An unclean close (no graceful checkpoint) must reboot into a
     state with the same premise hash and the same probe verdicts."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     registry = TenantRegistry(state_dir=StateDir(state_root))
     tenant = registry.create("app", schema, premises)
     tenant.mutate("retract", [str(premises[0])])
@@ -86,7 +78,7 @@ def test_recovered_state_is_verdict_equivalent(state_root):
 def test_keyed_retry_replays_exactly_once_across_reboot(state_root):
     """A retried mutation key must return the recorded result after a
     reboot instead of applying the patch a second time."""
-    schema, premises, _pool = bench.serving_workload()
+    schema, premises, _pool = serving_workload()
     registry = TenantRegistry(state_dir=StateDir(state_root))
     tenant = registry.create("app", schema, premises)
     first = tenant.mutate("retract", [str(premises[0])], key="req-1")
@@ -104,29 +96,10 @@ def test_keyed_retry_replays_exactly_once_across_reboot(state_root):
         rebooted.close()
 
 
-@pytest.mark.artifact("durability-report")
-def test_committed_report_records_the_durability_suite():
-    """The committed suite report still records cold-start recovery
-    beating full rebuild (the e21 acceptance evidence rides along in
-    the current suite snapshot)."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    meta = report["workloads"]["cold_start_recovery"]["meta"]
-    assert meta["speedup_vs_full_rebuild"] >= 2.0
-    assert meta["tail_records_replayed"] <= meta["snapshot_every"]
-    assert meta["snapshots_taken"] >= 1
-
-
 @pytest.mark.artifact("durability-recovery")
 def test_timed_cold_boot(benchmark, state_root):
     """Timed artifact: one snapshot+tail boot of a durable tenant."""
-    schema, premises, pool = bench.serving_workload()
+    schema, premises, pool = serving_workload()
     registry = TenantRegistry(state_dir=StateDir(state_root))
     tenant = registry.create("app", schema, premises)
     for dep in premises[:8]:

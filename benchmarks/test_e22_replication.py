@@ -14,9 +14,8 @@ in the same process:
   moment the primary vanishes must be acknowledged by a promoted
   follower within the heartbeat budget, and the measured
   ``failover_ms`` is recorded;
-* the committed ``BENCH_e22.json`` and the last
-  ``BENCH_trajectory.json`` entry record the ``replicated_serving``
-  workload with both numbers.
+* the frozen ``BENCH_trajectory.json`` history's last entry records
+  the ``replicated_serving`` workload.
 """
 
 import json
@@ -24,19 +23,17 @@ import os
 
 import pytest
 
-from repro import bench
+from floor_workloads import replicated_serving
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
-COMMITTED_TRAJECTORY = os.path.join(REPO_ROOT, bench.COMMITTED_TRAJECTORY)
+COMMITTED_TRAJECTORY = os.path.join(REPO_ROOT, "BENCH_trajectory.json")
 
 
 @pytest.mark.artifact("replication-scaleout")
 def test_two_followers_at_least_double_read_throughput():
     """Acceptance criterion: follower read scale-out and failover,
     measured live against real HTTP servers."""
-    result = bench.bench_replicated_serving(repeats=1)
-    meta = result.meta
+    meta = replicated_serving(repeats=1)
     assert meta["followers"] == 2
     assert meta["read_speedup"] >= 2.0, (
         f"2 followers must at least double aggregate read throughput, "
@@ -53,27 +50,9 @@ def test_two_followers_at_least_double_read_throughput():
 
 
 @pytest.mark.artifact("replication-report")
-def test_committed_report_records_the_replication_suite():
-    """BENCH_e22.json is committed, names the e22 suite, and records
-    the read scale-out plus a measured failover time."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    meta = report["workloads"]["replicated_serving"]["meta"]
-    assert meta["read_speedup"] >= 2.0
-    assert meta["failover_ms"] > 0
-
-
-@pytest.mark.artifact("replication-report")
 def test_trajectory_still_records_the_replication_workload():
-    """The committed perf history's newest entry carries the
-    replicated-serving numbers, so the regression gate baselines
-    against them."""
+    """The frozen perf history's newest entry carries the
+    replicated-serving numbers."""
     with open(COMMITTED_TRAJECTORY, encoding="utf-8") as fp:
         trajectory = json.load(fp)
     assert isinstance(trajectory, list) and trajectory

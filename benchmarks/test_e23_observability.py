@@ -11,14 +11,10 @@ is a *cost* bound, not a speedup floor:
 * the per-request cost of full instrumentation (trace minted, spans
   attributed, histograms observed, trace ring appended) — measured as
   the difference between the traced and bare coalesced streams — must
-  stay under :data:`repro.bench.OBS_OVERHEAD_BUDGET` (5%) of what one
-  served HTTP request costs;
-* the untraced path the regression-gated workloads run
-  (``single_decide``, ``repeated_decide_hot``) pays only ``trace is
-  None`` early-outs, enforced by the trajectory gate itself;
-* the committed ``BENCH_e23.json`` and the last
-  ``BENCH_trajectory.json`` entry record the
-  ``observability_overhead`` workload with both sides of the ratio.
+  stay under :data:`floor_workloads.OBS_OVERHEAD_BUDGET` (5%) of what
+  one served HTTP request costs;
+* the frozen ``BENCH_trajectory.json`` history's last entry records
+  the ``observability_overhead`` workload.
 """
 
 import json
@@ -26,23 +22,19 @@ import os
 
 import pytest
 
-from repro import bench
+from floor_workloads import OBS_OVERHEAD_BUDGET, observability_overhead
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_REPORT = os.path.join(REPO_ROOT, bench.COMMITTED_BASELINE)
-COMMITTED_TRAJECTORY = os.path.join(REPO_ROOT, bench.COMMITTED_TRAJECTORY)
+COMMITTED_TRAJECTORY = os.path.join(REPO_ROOT, "BENCH_trajectory.json")
 
 
 @pytest.mark.artifact("observability-overhead")
 def test_full_instrumentation_stays_under_the_overhead_budget():
     """Acceptance criterion, measured live: tracing+metrics add less
-    than the budgeted fraction of a served request.  The workload
-    itself asserts the budget; the floor here re-checks the recorded
-    meta so a silently weakened assert would still fail."""
-    result = bench.bench_observability_overhead(repeats=2)
-    meta = result.meta
-    assert meta["overhead_budget"] == bench.OBS_OVERHEAD_BUDGET == 0.05
-    assert meta["overhead_fraction"] < bench.OBS_OVERHEAD_BUDGET, (
+    than the budgeted fraction of a served request."""
+    meta = observability_overhead(repeats=2)
+    assert meta["overhead_budget"] == OBS_OVERHEAD_BUDGET == 0.05
+    assert meta["overhead_fraction"] < OBS_OVERHEAD_BUDGET, (
         f"instrumentation adds {meta['added_us_per_request']:.2f}us per "
         f"request = {meta['overhead_fraction']:.1%} of a "
         f"{meta['served_request_us']:.0f}us served request"
@@ -57,27 +49,8 @@ def test_full_instrumentation_stays_under_the_overhead_budget():
 
 
 @pytest.mark.artifact("observability-report")
-def test_committed_report_records_the_observability_suite():
-    """BENCH_e23.json is committed, names the e23 suite, and records
-    the overhead measurement inside budget."""
-    assert os.path.exists(COMMITTED_REPORT), (
-        f"{bench.COMMITTED_BASELINE} missing; record it with "
-        f"`python -m repro bench --out {bench.COMMITTED_BASELINE}`"
-    )
-    with open(COMMITTED_REPORT, encoding="utf-8") as fp:
-        report = json.load(fp)
-    assert report["suite"] == bench.SUITE == "e23-observability"
-    assert set(report["workloads"]) == set(bench.WORKLOADS)
-    meta = report["workloads"]["observability_overhead"]["meta"]
-    assert meta["overhead_fraction"] < bench.OBS_OVERHEAD_BUDGET
-    assert meta["added_us_per_request"] > 0
-    assert meta["served_request_us"] > meta["added_us_per_request"]
-
-
-@pytest.mark.artifact("observability-report")
 def test_trajectory_ends_with_the_observability_suite():
-    """The committed perf history's newest entry is this suite's run,
-    so the regression gate baselines against the instrumented code."""
+    """The frozen perf history's newest entry is this suite's run."""
     with open(COMMITTED_TRAJECTORY, encoding="utf-8") as fp:
         trajectory = json.load(fp)
     assert isinstance(trajectory, list) and trajectory

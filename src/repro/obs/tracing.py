@@ -7,7 +7,7 @@ the layers that do work on the request's behalf: protocol parse, the
 coalescer (which records which trace *paid* for a shared decide),
 ``Tenant.mutate``, the WAL append/fsync, and per-follower replication
 shipping.  Every instrumented site guards with ``if trace is not
-None`` so un-traced paths — the bench harness drives the coalescer
+None`` so un-traced paths — the benchmark floors drive the coalescer
 directly — pay nothing.
 
 Spans are flat ``(name, offset, duration, meta)`` records relative to

@@ -360,9 +360,10 @@ class TenantStore:
         rename is atomic, and a crash before the truncation is handled
         by recovery's ``seq`` filter.
         """
-        if len(self.applied) > MAX_APPLIED_KEYS:
-            keep = list(self.applied.items())[-MAX_APPLIED_KEYS:]
-            self.applied = dict(keep)
+        # Trim in place: the owning Tenant holds this same dict, and a
+        # rebound copy would leave it checking retries against a stale map.
+        for key in list(self.applied)[:-MAX_APPLIED_KEYS]:
+            del self.applied[key]
         self._write_snapshot(name, bundle, premise_hash, options or {})
         self._open_wal(truncate=True)
         self.base_seq = self.seq

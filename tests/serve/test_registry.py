@@ -10,7 +10,7 @@ from repro.deps.ind import IND
 from repro.engine import ReasoningSession
 from repro.model.schema import DatabaseSchema
 from repro.serve import ArtifactCache, ServeError, StateDir, TenantRegistry
-from repro.serve.wal import WAL_FILE
+from repro.serve.wal import MAX_APPLIED_KEYS, WAL_FILE
 
 
 @pytest.fixture
@@ -214,3 +214,24 @@ class TestDurableLifecycle:
         # the on-disk state is gone with it.
         assert wal_path not in open_fd_targets()
         assert not os.path.exists(wal_path)
+
+    def test_keyed_retry_replays_after_snapshots_trim_applied_keys(
+        self, tmp_path
+    ):
+        # Enough keyed writes that a snapshot trims the idempotency map:
+        # the tenant must keep checking retries against the trimmed map,
+        # not a stale copy that stopped receiving new keys.
+        registry = TenantRegistry(
+            state_dir=StateDir(str(tmp_path), snapshot_every=64)
+        )
+        tenant = registry.create_from_bundle("app", BUNDLE)
+        for index in range(MAX_APPLIED_KEYS + 200):
+            kind = "add" if index % 2 == 0 else "retract"
+            tenant.mutate(kind, ["EMP: NAME -> DEPT"], key=f"k{index}")
+        assert tenant.store.snapshots > 1
+        version = tenant.session.version
+        newest = f"k{MAX_APPLIED_KEYS + 199}"
+        replay = tenant.mutate("retract", ["EMP: NAME -> DEPT"], key=newest)
+        assert replay["idempotent_replay"] is True
+        assert tenant.session.version == version
+        registry.close()

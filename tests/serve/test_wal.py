@@ -245,7 +245,9 @@ class TestTenantStore:
         store = make_store(tmp_path)
         for index in range(MAX_APPLIED_KEYS + 10):
             store.applied[f"key{index}"] = {"version": index}
+        applied = store.applied
         store.write_snapshot("t", BUNDLE, "hash1")
+        assert store.applied is applied
         assert len(store.applied) == MAX_APPLIED_KEYS
         assert "key0" not in store.applied
         assert f"key{MAX_APPLIED_KEYS + 9}" in store.applied
