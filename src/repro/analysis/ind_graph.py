@@ -1,30 +1,39 @@
-"""Graph views of IND/FD sets (networkx-backed).
+"""Graph views of IND/FD sets, as plain adjacency dicts.
 
 These are analysis conveniences on top of the core engines — useful
 for inspecting why an implication holds (paths), why a decision blew
 up (orbit sizes), or where the finite-implication cycle rule fires
-(strongly connected components).
+(strongly connected components).  A digraph is a dict mapping every
+node to ``{successor: edge data}``; the relation-level flow graph keeps
+one ``(successor, edge data)`` entry per IND, so parallel edges
+survive.  Components come from the package's one SCC routine,
+:func:`~repro.core.graph.strongly_connected_components`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Hashable, Iterable
 
-import networkx as nx
-
+from repro.core.graph import components_of
 from repro.core.ind_decision import Expression, successors
 from repro.deps.base import Dependency
 from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.exceptions import SearchBudgetExceeded
 
+Digraph = dict[Hashable, dict[Hashable, dict[str, Any]]]
+"""``{node: {successor: edge data}}``; every node is a key."""
+
+FlowGraph = dict[str, list[tuple[str, dict[str, Any]]]]
+"""``{relation: [(target relation, edge data), ...]}``, one entry per IND."""
+
 
 def expression_graph(
     start: Expression,
     premises: Iterable[IND],
     max_nodes: int = 100_000,
-) -> nx.DiGraph:
+) -> Digraph:
     """The reachable part of the Corollary 3.2 expression graph.
 
     Nodes are expressions ``(relation, attribute sequence)``; each edge
@@ -32,82 +41,84 @@ def expression_graph(
     Reachability in this graph **is** IND implication (Corollary 3.2).
     """
     premise_list = list(premises)
-    graph = nx.DiGraph()
-    graph.add_node(start)
+    graph: Digraph = {start: {}}
     frontier = [start]
     while frontier:
         current = frontier.pop()
         for nxt, link in successors(current, premise_list):
             if nxt not in graph:
-                if graph.number_of_nodes() >= max_nodes:
+                if len(graph) >= max_nodes:
                     raise SearchBudgetExceeded(
                         f"expression graph exceeded {max_nodes} nodes",
-                        explored=graph.number_of_nodes(),
+                        explored=len(graph),
                     )
-                graph.add_node(nxt)
+                graph[nxt] = {}
                 frontier.append(nxt)
-            if not graph.has_edge(current, nxt):
-                graph.add_edge(
-                    current, nxt,
-                    premise=str(link.premise),
-                    indices=link.indices,
-                )
+            graph[current].setdefault(
+                nxt, {"premise": str(link.premise), "indices": link.indices}
+            )
     return graph
 
 
-def ind_flow_graph(premises: Iterable[IND]) -> nx.MultiDiGraph:
+def ind_flow_graph(premises: Iterable[IND]) -> FlowGraph:
     """The relation-level flow graph: one node per relation, one edge
     per IND (labelled with its attribute mapping).
 
     Cycles here are where Rule (*) saturation, chase divergence, and
     the finite-implication phenomena live.
     """
-    graph = nx.MultiDiGraph()
+    graph: FlowGraph = {}
     for premise in premises:
-        graph.add_edge(
-            premise.lhs_relation,
+        graph.setdefault(premise.lhs_relation, []).append((
             premise.rhs_relation,
-            label=str(premise),
-            mapping=premise.attribute_mapping(),
-        )
+            {"label": str(premise), "mapping": premise.attribute_mapping()},
+        ))
+        graph.setdefault(premise.rhs_relation, [])
     return graph
 
 
-def cardinality_digraph(dependencies: Iterable[Dependency]) -> nx.DiGraph:
+def cardinality_digraph(dependencies: Iterable[Dependency]) -> Digraph:
     """The unary engine's cardinality digraph.
 
     Edge ``u -> v`` means ``|u| <= |v|`` in every finite model: INDs
     contribute source -> target; FDs ``R: A -> B`` contribute
     ``(R,B) -> (R,A)``.
     """
-    graph = nx.DiGraph()
+    graph: Digraph = {}
+
+    def add_edge(u: Hashable, v: Hashable, kind: str) -> None:
+        graph.setdefault(u, {})
+        graph.setdefault(v, {})
+        graph[u][v] = {"kind": kind}
+
     for dep in dependencies:
         if isinstance(dep, IND) and dep.is_unary():
-            graph.add_edge(
+            add_edge(
                 (dep.lhs_relation, dep.lhs_attributes[0]),
                 (dep.rhs_relation, dep.rhs_attributes[0]),
-                kind="ind",
+                "ind",
             )
         elif isinstance(dep, FD) and dep.is_unary():
-            graph.add_edge(
-                (dep.relation, dep.rhs[0]),
-                (dep.relation, dep.lhs[0]),
-                kind="fd",
+            add_edge(
+                (dep.relation, dep.rhs[0]), (dep.relation, dep.lhs[0]), "fd"
             )
     return graph
+
+
+def _cyclic_components(adjacency: dict[Hashable, Any]) -> list[set]:
+    """The SCCs that contain a cycle: two or more nodes, or a self-loop."""
+    return [
+        set(component)
+        for component in components_of(adjacency)
+        if len(component) > 1 or component[0] in adjacency[component[0]]
+    ]
 
 
 def cycle_rule_components(dependencies: Iterable[Dependency]) -> list[set]:
     """The nontrivial SCCs of the cardinality digraph — exactly the
     places where the finite-implication cycle rule reverses
     dependencies (Theorem 4.4 / Section 6)."""
-    graph = cardinality_digraph(dependencies)
-    return [
-        set(component)
-        for component in nx.strongly_connected_components(graph)
-        if len(component) > 1
-        or graph.has_edge(*(list(component) * 2))  # self-loop
-    ]
+    return _cyclic_components(cardinality_digraph(dependencies))
 
 
 @dataclass
@@ -136,6 +147,13 @@ def summarize_ind_set(premises: Iterable[IND]) -> IndSetSummary:
     """Quick structural profile of an IND set."""
     premise_list = list(premises)
     flow = ind_flow_graph(premise_list)
+    targets = {rel: [dst for dst, _data in out] for rel, out in flow.items()}
+    # Weak components are the SCCs of the symmetrized flow graph.
+    undirected: dict[str, list[str]] = {rel: [] for rel in flow}
+    for rel, dsts in targets.items():
+        for dst in dsts:
+            undirected[rel].append(dst)
+            undirected[dst].append(rel)
     relations = set()
     for premise in premise_list:
         relations.update(premise.relations())
@@ -145,8 +163,6 @@ def summarize_ind_set(premises: Iterable[IND]) -> IndSetSummary:
         unary=sum(1 for p in premise_list if p.is_unary()),
         typed=sum(1 for p in premise_list if p.is_typed()),
         max_arity=max((p.arity for p in premise_list), default=0),
-        flow_cyclic=not nx.is_directed_acyclic_graph(flow) if flow else False,
-        flow_components=(
-            nx.number_weakly_connected_components(flow) if flow else 0
-        ),
+        flow_cyclic=bool(_cyclic_components(targets)),
+        flow_components=len(components_of(undirected)),
     )

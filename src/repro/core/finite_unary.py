@@ -41,6 +41,7 @@ from repro.exceptions import UnsupportedDependencyError
 from repro.deps.base import Dependency
 from repro.deps.fd import FD
 from repro.deps.ind import IND
+from repro.core.graph import components_of
 
 Node = tuple[str, str]
 """A column: (relation name, attribute name)."""
@@ -98,57 +99,6 @@ def _transitive_close(
     return fds, inds
 
 
-def _tarjan_sccs(nodes: set[Node], edges: dict[Node, set[Node]]) -> dict[Node, int]:
-    """Iterative Tarjan SCC; returns a component id per node."""
-    index_counter = 0
-    indices: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    component: dict[Node, int] = {}
-    comp_counter = 0
-
-    for root in nodes:
-        if root in indices:
-            continue
-        work: list[tuple[Node, list[Node], int]] = [(root, list(edges.get(root, ())), 0)]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors, pointer = work.pop()
-            advanced = False
-            while pointer < len(successors):
-                nxt = successors[pointer]
-                pointer += 1
-                if nxt not in indices:
-                    indices[nxt] = lowlink[nxt] = index_counter
-                    index_counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((node, successors, pointer))
-                    work.append((nxt, list(edges.get(nxt, ())), 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == indices[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = comp_counter
-                    if member == node:
-                        break
-                comp_counter += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return component
-
-
 def _apply_cycle_rule(fds: set[FdFact], inds: set[IndFact]) -> bool:
     """Reverse every dependency whose cardinality edge lies in an SCC.
 
@@ -158,21 +108,21 @@ def _apply_cycle_rule(fds: set[FdFact], inds: set[IndFact]) -> bool:
     so finiteness turns the inequalities into the equalities that
     justify the reversals.  Returns whether anything new was added.
     """
-    nodes: set[Node] = set()
     edges: dict[Node, set[Node]] = {}
 
     def add_edge(u: Node, v: Node) -> None:
-        nodes.add(u)
-        nodes.add(v)
         edges.setdefault(u, set()).add(v)
+        edges.setdefault(v, set())
 
     for src, dst in inds:
         add_edge(src, dst)
     for rel, a, b in fds:
         add_edge((rel, b), (rel, a))
-    if not nodes:
-        return False
-    component = _tarjan_sccs(nodes, edges)
+    component = {
+        node: cid
+        for cid, members in enumerate(components_of(edges))
+        for node in members
+    }
 
     changed = False
     for src, dst in list(inds):

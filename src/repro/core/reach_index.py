@@ -14,11 +14,12 @@ datalog/IVM engines:
    materialized graph is *successor-closed*: reachability inside it
    equals reachability in the full implicit graph for any materialized
    start.
-2. **Condense** the materialized graph with Tarjan's algorithm
-   (iterative, DFS-numbered).  Tarjan emits strongly connected
-   components in reverse topological order, so one linear pass
-   computes, per component, the *bitset of reachable components* as a
-   Python int: ``label[c] = bit(c) | union(label[successor sccs])``.
+2. **Condense** the materialized graph with the package's one SCC
+   routine, :func:`~repro.core.graph.strongly_connected_components`
+   (iterative Tarjan).  It emits components in reverse topological
+   order, so one linear pass computes, per component, the *bitset of
+   reachable components* as a Python int:
+   ``label[c] = bit(c) | union(label[successor sccs])``.
 3. **Answer** ``decide_ind`` for a compiled source as a bitset
    membership test — two dict lookups and one shift — plus on-demand
    witness-chain reconstruction from recorded parent edges.  Chains
@@ -64,6 +65,7 @@ from repro.core.ind_decision import (
     expression_of_lhs,
     expression_of_rhs,
 )
+from repro.core.graph import strongly_connected_components
 from repro.core.ind_kernel import INDKernel, KernelIndex, intern_expression
 
 Edge = tuple[int, INDKernel, tuple[int, ...]]
@@ -108,6 +110,7 @@ class ReachIndex:
         self._ids: dict[Expression, int] = {}
         self._exprs: list[Expression] = []
         self._edges: list[tuple[Edge, ...]] = []
+        self._succs: list[tuple[int, ...]] = []
         self._footprint: set[str] = set()
         self._scc_of: list[int] = []
         self._labels: list[int] = []
@@ -160,6 +163,7 @@ class ReachIndex:
         self._ids[expression] = node
         self._exprs.append(expression)
         self._edges.append(())
+        self._succs.append(())
         self._footprint.add(expression[0])
         return node
 
@@ -215,6 +219,7 @@ class ReachIndex:
             del self._ids[expression]
         del self._exprs[first_new:]
         del self._edges[first_new:]
+        del self._succs[first_new:]
         self._footprint = {expression[0] for expression in self._exprs}
 
     def _materialize(self, start: Expression, max_nodes: int, tick=None) -> int:
@@ -230,6 +235,7 @@ class ReachIndex:
                 tick()
             relation, attrs = self._exprs[node]
             edges: list[Edge] = []
+            succs: list[int] = []
             for kernel in bucket(relation):
                 entry = kernel.successor_of(attrs)
                 if entry is None:
@@ -245,12 +251,14 @@ class ReachIndex:
                     succ_id = self._add_node(successor)
                     fresh.append(succ_id)
                 edges.append((succ_id, kernel, positions))
+                succs.append(succ_id)
             self._edges[node] = tuple(edges)
+            self._succs[node] = tuple(succs)
         self._condense(first_new)
         return source
 
     def _condense(self, first_new: int) -> None:
-        """Incremental Tarjan condensation of the nodes ``>= first_new``.
+        """Incremental condensation of the nodes ``>= first_new``.
 
         The materialized graph is successor-closed, so an *old* node's
         edges were all recorded when it was expanded — none of them can
@@ -261,78 +269,29 @@ class ReachIndex:
         edges into old nodes treated as cross-edges to already-final
         components.
 
-        Tarjan runs iteratively (explicit work stack — materialized
-        chains are longer than the recursion limit allows), emitting
-        components in reverse topological order, which is exactly the
-        order in which ``label[c] |= label[successor]`` is well-defined.
+        :func:`~repro.core.graph.strongly_connected_components` emits
+        the new components in reverse topological order, which is
+        exactly the order in which ``label[c] |= label[successor]`` is
+        well-defined: cross-edges point at old components whose labels
+        are final, so every successor label is already complete.
         """
-        n = len(self._exprs)
-        edges = self._edges
+        succs = self._succs
         scc_of = self._scc_of
-        scc_of.extend([-1] * (n - first_new))
+        scc_of.extend([-1] * (len(succs) - first_new))
         labels = self._labels
         sizes = self._scc_sizes
-        # Local DFS state for the new nodes only, indexed by node-first_new.
-        order = [-1] * (n - first_new)
-        low = [0] * (n - first_new)
-        on_stack = [False] * (n - first_new)
-        stack: list[int] = []
-        counter = 0
-        for root in range(first_new, n):
-            if order[root - first_new] != -1:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                node, edge_index = work[-1]
-                local = node - first_new
-                if edge_index == 0:
-                    order[local] = low[local] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack[local] = True
-                descended = False
-                node_edges = edges[node]
-                for i in range(edge_index, len(node_edges)):
-                    succ = node_edges[i][0]
-                    if succ < first_new:
-                        continue  # cross-edge into a finalized component
-                    succ_local = succ - first_new
-                    if order[succ_local] == -1:
-                        work[-1] = (node, i + 1)
-                        work.append((succ, 0))
-                        descended = True
-                        break
-                    if on_stack[succ_local] and order[succ_local] < low[local]:
-                        low[local] = order[succ_local]
-                if descended:
-                    continue
-                work.pop()
-                if work:
-                    parent_local = work[-1][0] - first_new
-                    if low[local] < low[parent_local]:
-                        low[parent_local] = low[local]
-                if low[local] == order[local]:
-                    cid = len(labels)
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member - first_new] = False
-                        scc_of[member] = cid
-                        component.append(member)
-                        if member == node:
-                            break
-                    # Emission order is reverse-topological within the
-                    # new subgraph, and cross-edges point at old
-                    # components whose labels are final — so every
-                    # successor label below is already complete.
-                    label = 1 << cid
-                    for member in component:
-                        for succ, _kernel, _positions in edges[member]:
-                            succ_cid = scc_of[succ]
-                            if succ_cid != cid:
-                                label |= labels[succ_cid]
-                    labels.append(label)
-                    sizes.append(len(component))
+        for component in strongly_connected_components(succs, first_new):
+            cid = len(labels)
+            for member in component:
+                scc_of[member] = cid
+            label = 1 << cid
+            for member in component:
+                for succ in succs[member]:
+                    succ_cid = scc_of[succ]
+                    if succ_cid != cid:
+                        label |= labels[succ_cid]
+            labels.append(label)
+            sizes.append(len(component))
         self.compiles += 1
 
     # -- queries -----------------------------------------------------------
@@ -480,6 +439,7 @@ class ReachIndex:
         twin._ids = dict(self._ids)
         twin._exprs = list(self._exprs)
         twin._edges = list(self._edges)
+        twin._succs = list(self._succs)
         twin._footprint = set(self._footprint)
         twin._scc_of = list(self._scc_of)
         twin._labels = list(self._labels)

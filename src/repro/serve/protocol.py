@@ -126,8 +126,12 @@ async def read_request(
     """
     try:
         line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+    except ConnectionResetError:
         return None
+    except ValueError:
+        # readline() reports a line over the stream limit this way,
+        # not as asyncio.LimitOverrunError.
+        raise ProtocolError("request line over the stream's line limit")
     if not line:
         return None
     if on_started is not None:
@@ -141,7 +145,10 @@ async def read_request(
     query = dict(parse_qsl(query_string)) if query_string else {}
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise ProtocolError("header line over the stream's line limit")
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -155,6 +162,8 @@ async def read_request(
         length = int(length_text)
     except ValueError:
         raise ProtocolError(f"bad Content-Length: {length_text!r}")
+    if length < 0:
+        raise ProtocolError(f"negative Content-Length: {length_text!r}")
     if length > MAX_BODY_BYTES:
         raise ServeError(413, f"request body over {MAX_BODY_BYTES} bytes")
     body = b""

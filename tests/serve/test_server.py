@@ -337,6 +337,49 @@ class TestProtocolLimits:
             assert b"200" in header.split(b"\r\n")[0]
             assert json.loads(body)["ok"] is True
 
+    def _assert_400_and_closed(self, server, raw, match):
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(raw)
+            header, body = _recv_response(sock)
+            assert b"400" in header.split(b"\r\n")[0]
+            assert b"Connection: close" in header
+            payload = json.loads(body)
+            assert payload["status"] == 400
+            assert match in payload["error"]
+            sock.settimeout(5)
+            assert sock.recv(4096) == b""
+        # The refusal cost one connection, not the server.
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            header, _body = _recv_response(sock)
+            assert b"200" in header.split(b"\r\n")[0]
+
+    def test_negative_content_length_is_400_and_closes(self, server):
+        self._assert_400_and_closed(
+            server,
+            b"POST /tenants HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+            "negative Content-Length",
+        )
+
+    def test_request_line_over_the_line_limit_is_400_and_closes(self, server):
+        self._assert_400_and_closed(
+            server,
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            "request line over",
+        )
+
+    def test_header_line_over_the_line_limit_is_400_and_closes(self, server):
+        self._assert_400_and_closed(
+            server,
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+            "header line over",
+        )
+
 
 class TestBackgroundServerStop:
     def test_stop_joins_cleanly(self):
