@@ -97,22 +97,19 @@ def _as_kernels(premises: Premises) -> KernelIndex:
     return KernelIndex(premises)
 
 
-def _kernel_bucket_for(premises: Premises, relation: str) -> tuple[INDKernel, ...]:
+def _premise_bucket_for(premises: Premises, relation: str) -> tuple[IND, ...]:
+    """The premises that can move an expression over ``relation``."""
     if isinstance(premises, KernelIndex):
-        return premises.bucket(relation)
+        return premises.premises.get(relation, ())
     kernels = getattr(premises, "kernels", None)
     if isinstance(kernels, KernelIndex):  # a compiled ReachIndex
-        return kernels.bucket(relation)
+        return kernels.premises.get(relation, ())
     if isinstance(premises, Mapping):
         # A mapping's buckets are not necessarily lhs-keyed (callers
         # also hold index_by_rhs maps); only lhs-matching premises can
         # move an expression over ``relation``.
-        bucket = [
-            p for p in premises.get(relation, ()) if p.lhs_relation == relation
-        ]
-    else:
-        bucket = [p for p in premises if p.lhs_relation == relation]
-    return tuple(compile_ind(premise) for premise in bucket)
+        premises = premises.get(relation, ())
+    return tuple(p for p in premises if p.lhs_relation == relation)
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,11 @@ def successors(
     :func:`successors_naive` is the retained textbook reference.
     """
     _relation, attrs = expression
-    for kernel in _kernel_bucket_for(premises, _relation):
-        entry = kernel.successor_of(attrs)
+    for premise in _premise_bucket_for(premises, _relation):
+        entry = compile_ind(premise).successor_of(attrs)
         if entry is not None:
             nxt, positions = entry
-            yield nxt, ChainLink(kernel.ind, positions)
+            yield nxt, ChainLink(premise, positions)
 
 
 def successors_naive(

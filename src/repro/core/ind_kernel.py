@@ -15,6 +15,10 @@ Kernels are memoized on the :class:`~repro.deps.ind.IND` itself (the
 process no matter how many searches, sessions, or premise indexes
 consult it; relation names and attributes are interned so the
 expression tuples the BFS hashes compare element-wise by pointer.
+The kernel points back at its premise only weakly: a strong back
+pointer would make every compiled IND a reference cycle that lives
+until a full garbage collection.  A :class:`KernelIndex` therefore
+holds its premises itself.
 
 On top of the per-attribute maps each kernel memoizes whole *edges*:
 :meth:`INDKernel.successor_of` maps an attribute sequence directly to
@@ -31,8 +35,10 @@ maintains incrementally through the premise lifecycle.
 
 from __future__ import annotations
 
+from collections import Counter
 from sys import intern
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
+from weakref import ref
 
 from repro.deps.ind import IND
 
@@ -45,17 +51,22 @@ _MISS = object()
 class INDKernel:
     """One premise, compiled for the successor computation."""
 
-    __slots__ = ("ind", "rhs_relation", "lhs_positions", "rhs_attributes",
+    __slots__ = ("_ind", "rhs_relation", "lhs_positions", "rhs_attributes",
                  "_succ_cache")
 
     def __init__(self, ind: IND):
-        self.ind = ind
+        self._ind = ref(ind)
         self.rhs_relation = intern(ind.rhs_relation)
         self.lhs_positions = {
             intern(attr): pos for pos, attr in enumerate(ind.lhs_attributes)
         }
         self.rhs_attributes = tuple(intern(a) for a in ind.rhs_attributes)
         self._succ_cache: dict[tuple[str, ...], object] = {}
+
+    @property
+    def ind(self) -> IND:
+        """The compiled premise (alive while any holder of it is)."""
+        return self._ind()  # type: ignore[return-value]
 
     def successor_of(
         self, attrs: tuple[str, ...]
@@ -113,14 +124,33 @@ def intern_expression(expression: Expression) -> Expression:
     return (intern(relation), tuple(intern(a) for a in attrs))
 
 
+def surviving(items: Sequence, doomed: Counter) -> list[int]:
+    """Positions of ``items`` left after dropping, for each ``x`` in
+    ``doomed``, its first ``doomed[x]`` equal occurrences.
+
+    One pass, one hash probe per item; ``doomed`` is consumed.  This is
+    the batch form of "remove one occurrence per mention" that premise
+    buckets use, and it keeps the survivors in their order.
+    """
+    kept: list[int] = []
+    for position, item in enumerate(items):
+        if doomed.get(item):
+            doomed[item] -= 1
+        else:
+            kept.append(position)
+    return kept
+
+
 class KernelIndex:
     """Kernels bucketed by left-hand relation, maintained incrementally.
 
     The compiled counterpart of the ``inds_by_lhs`` premise index:
     ``bucket(R)`` is the tuple of kernels whose premise can move an
-    expression over ``R``.  Mutations replace whole bucket tuples, so
-    :meth:`copy` (dict copy) gives a safely shareable twin for
-    session forking.
+    expression over ``R``, and ``premises[R]`` holds the premises
+    themselves in the same order (kernels point back at them only
+    weakly, so the index is what keeps them alive).  Mutations replace
+    whole bucket tuples, so :meth:`copy` (dict copy) gives a safely
+    shareable twin for session forking.
 
     ``mutations`` counts every bucket change.  The
     :class:`~repro.core.reach_index.ReachIndex` compiled on top of
@@ -129,10 +159,11 @@ class KernelIndex:
     ``PremiseIndex`` lifecycle can never serve a stale closure.
     """
 
-    __slots__ = ("buckets", "mutations")
+    __slots__ = ("buckets", "premises", "mutations")
 
     def __init__(self, premises: Iterable[IND] = ()):
         self.buckets: dict[str, tuple[INDKernel, ...]] = {}
+        self.premises: dict[str, tuple[IND, ...]] = {}
         self.mutations = 0
         for ind in premises:
             self.add(ind)
@@ -148,13 +179,12 @@ class KernelIndex:
         no forward moves, exactly as the uncompiled search treats it.
         """
         index = cls()
-        index.buckets = {
-            intern(name): compiled
-            for name, bucket in buckets.items()
-            if (compiled := tuple(
-                compile_ind(ind) for ind in bucket if ind.lhs_relation == name
-            ))
-        }
+        for name, bucket in buckets.items():
+            kept = tuple(ind for ind in bucket if ind.lhs_relation == name)
+            if kept:
+                name = intern(name)
+                index.premises[name] = kept
+                index.buckets[name] = tuple(compile_ind(ind) for ind in kept)
         return index
 
     def bucket(self, relation: str) -> tuple[INDKernel, ...]:
@@ -162,28 +192,65 @@ class KernelIndex:
 
     def add(self, ind: IND) -> None:
         name = intern(ind.lhs_relation)
+        self.premises[name] = self.premises.get(name, ()) + (ind,)
         self.buckets[name] = self.buckets.get(name, ()) + (compile_ind(ind),)
         self.mutations += 1
 
     def discard(self, ind: IND) -> None:
         """Remove one kernel whose premise equals ``ind`` (if any)."""
         name = ind.lhs_relation
-        bucket = self.buckets.get(name)
-        if bucket is None:
+        premises = self.premises.get(name, ())
+        # The caller usually holds the indexed object itself: find it by
+        # identity before paying for structural equality.
+        position = next(
+            (i for i, premise in enumerate(premises) if premise is ind), None
+        )
+        if position is None:
+            position = next(
+                (i for i, premise in enumerate(premises) if premise == ind),
+                None,
+            )
+        if position is None:
             return
-        for i, kernel in enumerate(bucket):
-            if kernel.ind == ind:
-                remaining = bucket[:i] + bucket[i + 1:]
-                if remaining:
-                    self.buckets[name] = remaining
-                else:
-                    del self.buckets[name]
-                self.mutations += 1
-                return
+        bucket = self.buckets[name]
+        self._replace(
+            name,
+            premises[:position] + premises[position + 1:],
+            bucket[:position] + bucket[position + 1:],
+        )
+
+    def discard_all(self, inds: Iterable[IND]) -> None:
+        """Remove one kernel per mention in ``inds`` (absent ones are
+        skipped), rebuilding each touched bucket once."""
+        doomed: dict[str, Counter] = {}
+        for ind in inds:
+            doomed.setdefault(ind.lhs_relation, Counter())[ind] += 1
+        for name, wanted in doomed.items():
+            premises = self.premises.get(name, ())
+            kept = surviving(premises, wanted)
+            if len(kept) < len(premises):
+                bucket = self.buckets[name]
+                self._replace(
+                    name,
+                    tuple(premises[i] for i in kept),
+                    tuple(bucket[i] for i in kept),
+                )
+
+    def _replace(
+        self, name: str, premises: tuple[IND, ...],
+        bucket: tuple[INDKernel, ...],
+    ) -> None:
+        if premises:
+            self.premises[name] = premises
+            self.buckets[name] = bucket
+        else:
+            del self.premises[name], self.buckets[name]
+        self.mutations += 1
 
     def copy(self) -> "KernelIndex":
         twin = KernelIndex.__new__(KernelIndex)
         twin.buckets = dict(self.buckets)
+        twin.premises = dict(self.premises)
         twin.mutations = self.mutations
         return twin
 

@@ -121,9 +121,18 @@ class IND(Dependency):
     # -- semantics ------------------------------------------------------
 
     def holds_in(self, db: "Database") -> bool:
-        source = db.relation(self.lhs_relation).project(self.lhs_attributes)
-        target = db.relation(self.rhs_relation).project(self.rhs_attributes)
-        return source <= target
+        """Whether ``r[X]`` is inside ``s[Y]``.
+
+        Only the right side is materialized; the left side's rows are
+        streamed against it, so a violated IND stops at the first
+        missing row.
+        """
+        target = set(
+            db.relation(self.rhs_relation).project_keys(self.rhs_attributes)
+        )
+        return target.issuperset(
+            db.relation(self.lhs_relation).project_keys(self.lhs_attributes)
+        )
 
     def violations(self, db: "Database") -> list[tuple]:
         """Left-projection tuples missing from the right projection."""

@@ -4,9 +4,18 @@
 relation, unary IND mining over the shared inverted index, the
 implication-pruned n-ary lift — and then :func:`minimal_cover`
 *reduces* the result with the reasoning engine: every discovered
-dependency the remaining ones already imply is dropped, exercising
-the session lifecycle (``retract`` -> ``implies`` -> ``add`` back)
-instead of rebuilding a premise set per question.
+dependency the remaining ones already imply is dropped.  Questions
+are greedy, in :func:`_reduction_order`, and none of them touches the
+session: an IND is masked out of one :class:`KernelIndex` over its
+class and asked by the early-exit Corollary 3.2 search; an FD is asked
+by the [BB] closure over its relation's other surviving FDs.  The
+session receives the result at the end, in one batched ``retract`` (a
+pure-class ``"full"`` reduction retracts everything and adds the
+survivors back, so they end in reduction order).  Only
+a forced ``"full"`` reduction of a *mixed* FD+IND set, whose engines
+(the unary closure, the chase) have no masked form, still asks
+through the session lifecycle (``retract`` -> ``implies`` -> ``add``
+back).
 
 Reduction strategies
 --------------------
@@ -33,6 +42,9 @@ from repro.exceptions import ChaseBudgetExceeded, SearchBudgetExceeded
 from repro.discovery.fd_miner import discover_fds
 from repro.discovery.ind_miner import discover_inds
 from repro.discovery.report import DiscoveryReport
+from repro.core.fd_closure import FDClosureKernel
+from repro.core.ind_decision import decide_ind
+from repro.core.ind_kernel import KernelIndex
 from repro.engine.session import ReasoningSession
 from repro.model.database import Database
 
@@ -70,9 +82,10 @@ def _exact_engines_cover(session: ReasoningSession) -> bool:
 def _implied_without(session: ReasoningSession, dep: Dependency) -> bool:
     """Whether the session's *other* premises imply ``dep``.
 
-    The dependency is retracted, asked, and added back unless implied —
-    one lifecycle round-trip per question, so the session's compiled
-    kernels and reach index amortize across the whole reduction.  A
+    The dependency is retracted, asked, and added back unless implied.
+    Only ``"full"`` reduction of mixed premise sets asks this way (the
+    unary FD+IND closure and the chase have no masked form); pure
+    classes go through :func:`_reduce_inds` / :func:`_reduce_fds`.  A
     blown chase/search budget conservatively counts as "not implied".
     """
     session.retract(dep)
@@ -83,6 +96,47 @@ def _implied_without(session: ReasoningSession, dep: Dependency) -> bool:
     if not implied:
         session.add(dep)
     return implied
+
+
+def _reduce_inds(inds: Sequence[IND], max_nodes: int) -> list[IND]:
+    """The INDs the others do not imply, in reduction order.
+
+    One kernel index over the class; each candidate's kernel is masked
+    out (discarded) while the early-exit Corollary 3.2 search asks
+    whether the rest reach it, and put back only when they do not.  A
+    blown search budget conservatively counts as "not implied".
+    """
+    kernels = KernelIndex(inds)
+    kept: list[IND] = []
+    for ind in _reduction_order(inds):
+        kernels.discard(ind)
+        try:
+            implied = decide_ind(ind, kernels, max_nodes=max_nodes).implied
+        except SearchBudgetExceeded:
+            implied = False
+        if not implied:
+            kernels.add(ind)
+            kept.append(ind)
+    return kept
+
+
+def _reduce_fds(fds: Sequence[FD]) -> list[FD]:
+    """The FDs the others do not imply, in reduction order.
+
+    FDs only interact within a relation, so each candidate is decided
+    by the [BB] closure over its relation's other surviving FDs.
+    """
+    remaining: dict[str, list[FD]] = {}
+    for fd in fds:
+        remaining.setdefault(fd.relation, []).append(fd)
+    kept: list[FD] = []
+    for fd in _reduction_order(fds):
+        others = remaining[fd.relation]
+        others.remove(fd)
+        if not FDClosureKernel(others).implies(fd):
+            others.append(fd)
+            kept.append(fd)
+    return kept
 
 
 def minimal_cover(
@@ -105,33 +159,41 @@ def minimal_cover(
         strategy = (
             "full" if _exact_engines_cover(session) else "class-local"
         )
+    index = session.index
+    deps = session.dependencies
+
+    if strategy == "full" and (index.pure_ind or index.pure_fd):
+        kept = (
+            _reduce_inds(deps, session.max_nodes) if index.pure_ind
+            else _reduce_fds(deps)
+        )
+        # Survivors end in reduction order, as if each had been
+        # retracted and added back.
+        if deps:
+            session.retract(deps)
+        if kept:
+            session.add(kept)
+        return list(session.dependencies)
 
     if strategy == "full":
-        for dep in _reduction_order(session.dependencies):
+        for dep in _reduction_order(deps):
             _implied_without(session, dep)
         return list(session.dependencies)
 
     # Class-local: reduce each class against its own kind only (sound:
     # implication from a premise subset is implication from the set).
-    fds = [dep for dep in session.dependencies if isinstance(dep, FD)]
-    inds = [dep for dep in session.dependencies if isinstance(dep, IND)]
-    keep_fd = _reduce_class(session.schema, fds)
-    keep_ind = _reduce_class(session.schema, inds)
+    fds = [dep for dep in deps if isinstance(dep, FD)]
+    inds = [dep for dep in deps if isinstance(dep, IND)]
+    # A class of one is kept unquestioned (even a trivial dependency).
+    keep_fd = _reduce_fds(fds) if len(fds) > 1 else fds
+    keep_ind = (
+        _reduce_inds(inds, session.max_nodes) if len(inds) > 1 else inds
+    )
     dropped = (set(fds) - set(keep_fd)) | (set(inds) - set(keep_ind))
-    doomed = [dep for dep in session.dependencies if dep in dropped]
+    doomed = [dep for dep in deps if dep in dropped]
     if doomed:
         session.retract(doomed)
     return list(session.dependencies)
-
-
-def _reduce_class(schema, dependencies: list) -> list:
-    """One class reduced by its exact engine via a scratch session."""
-    if len(dependencies) < 2:
-        return list(dependencies)
-    scratch = ReasoningSession(schema, dependencies)
-    for dep in _reduction_order(dependencies):
-        _implied_without(scratch, dep)
-    return list(scratch.dependencies)
 
 
 def discover(

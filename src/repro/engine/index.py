@@ -33,6 +33,7 @@ a build because it copies buckets instead of rebuilding them.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional
 
@@ -43,7 +44,7 @@ from repro.deps.ind import IND
 from repro.deps.rd import RD
 from repro.model.schema import DatabaseSchema
 from repro.core.fd_closure import FDClosureKernel, candidate_keys
-from repro.core.ind_kernel import KernelIndex
+from repro.core.ind_kernel import KernelIndex, surviving
 from repro.core.reach_index import ReachIndex
 
 
@@ -144,30 +145,42 @@ class PremiseIndex:
             )
             self._non_unary += not dep.is_unary()
 
-    def _classify_remove(self, dep: Dependency) -> None:
-        kind = _class_of(dep)
-        self._counts[kind] -= 1
-        self._views.pop(kind, None)
+    def _remove_all(self, doomed: list[Dependency]) -> None:
+        """Drop ``doomed`` (existing premise objects) from the class
+        counters and buckets, rebuilding each touched bucket once."""
+        by_lhs: dict[str, Counter] = {}
+        by_rhs: dict[str, Counter] = {}
+        by_relation: dict[str, Counter] = {}
+        inds: list[IND] = []
+        for dep in doomed:
+            kind = _class_of(dep)
+            self._counts[kind] -= 1
+            self._views.pop(kind, None)
+            if isinstance(dep, IND):
+                by_lhs.setdefault(dep.lhs_relation, Counter())[dep] += 1
+                by_rhs.setdefault(dep.rhs_relation, Counter())[dep] += 1
+                inds.append(dep)
+                self._non_unary -= not dep.is_unary()
+            elif isinstance(dep, FD):
+                by_relation.setdefault(dep.relation, Counter())[dep] += 1
+                self._non_unary -= not dep.is_unary()
         self._deps_view = None
-        if isinstance(dep, IND):
-            self._bucket_remove(self.inds_by_lhs, dep.lhs_relation, dep)
-            self._bucket_remove(self.inds_by_rhs, dep.rhs_relation, dep)
-            self.ind_kernels.discard(dep)
-            self._non_unary -= not dep.is_unary()
-        elif isinstance(dep, FD):
-            self._bucket_remove(self.fds_by_relation, dep.relation, dep)
-            self._non_unary -= not dep.is_unary()
-
-    @staticmethod
-    def _bucket_remove(
-        buckets: dict[str, tuple], key: str, dep: Dependency
-    ) -> None:
-        bucket = list(buckets.get(key, ()))
-        bucket.remove(dep)
-        if bucket:
-            buckets[key] = tuple(bucket)
-        else:
-            del buckets[key]
+        for buckets, wanted in (
+            (self.inds_by_lhs, by_lhs),
+            (self.inds_by_rhs, by_rhs),
+            (self.fds_by_relation, by_relation),
+        ):
+            for key, doomed_here in wanted.items():
+                bucket = buckets[key]
+                kept = tuple(
+                    bucket[i] for i in surviving(bucket, doomed_here)
+                )
+                if kept:
+                    buckets[key] = kept
+                else:
+                    del buckets[key]
+        if inds:
+            self.ind_kernels.discard_all(inds)
 
     def _view(self, kind: str) -> tuple:
         view = self._views.get(kind)
@@ -243,24 +256,28 @@ class PremiseIndex:
         failed retract leaves the index unchanged.
         """
         removed = tuple(dependencies)
-        # One scan per dependency to locate its position; the whole
-        # batch is resolved before anything is mutated, so a failed
-        # retract leaves the index unchanged.
-        taken: set[int] = set()
-        for dep in removed:
-            position = -1
-            for i, existing in enumerate(self._deps):
-                if i not in taken and existing == dep:
-                    position = i
-                    break
-            if position < 0:
-                raise DependencyError(
-                    f"cannot retract {dep}: not among the premises"
-                )
-            taken.add(position)
-        for position in sorted(taken, reverse=True):
-            dep = self._deps.pop(position)
-            self._classify_remove(dep)
+        # One hash pass over the premises takes the first occurrence of
+        # every mention; the whole batch is resolved before anything is
+        # mutated, so a failed retract leaves the index unchanged.
+        remaining = Counter(removed)
+        kept: list[Dependency] = []
+        doomed: list[Dependency] = []
+        for dep in self._deps:
+            if remaining.get(dep):
+                remaining[dep] -= 1
+                doomed.append(dep)
+            else:
+                kept.append(dep)
+        if len(doomed) < len(removed):
+            available = Counter(doomed)
+            for dep in removed:
+                available[dep] -= 1
+                if available[dep] < 0:
+                    raise DependencyError(
+                        f"cannot retract {dep}: not among the premises"
+                    )
+        self._deps = kept
+        self._remove_all(doomed)
         delta = self._delta(added=(), removed=removed)
         if delta:
             self._hash_memo = None

@@ -7,12 +7,27 @@ central operation is projection onto an attribute sequence, written
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import SchemaError
 from repro.model.schema import RelationSchema
 
 Row = tuple[Any, ...]
+
+
+def _key_getter(positions: tuple[int, ...]) -> Callable[[Row], Any]:
+    """A C-level ``t -> t[X]`` for the column ``positions``.
+
+    ``operator.itemgetter`` returns the bare value, not a 1-tuple, when
+    ``X`` has one column; two getters over the same number of columns
+    therefore produce comparable keys, which is all set membership
+    needs.  :meth:`Relation.project` wraps single values back into
+    tuples.
+    """
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 class Relation:
@@ -72,7 +87,16 @@ class Relation:
         ``r[X] = {t[X] : t in r}``.
         """
         positions = self.schema.positions(attrs)
-        return frozenset(tuple(row[p] for p in positions) for row in self._tuples)
+        keys = map(_key_getter(positions), self._tuples)
+        return frozenset(zip(keys) if len(positions) == 1 else keys)
+
+    def project_keys(self, attrs: str | Iterable[str]) -> Iterator[Any]:
+        """A lazy stream of ``t[X]`` keys, one per tuple (see :func:`_key_getter`).
+
+        Keys of a single attribute are bare values; compare them only
+        with keys of another single-attribute projection.
+        """
+        return map(_key_getter(self.schema.positions(attrs)), self._tuples)
 
     def project_tuple(self, row: Row, attrs: str | Iterable[str]) -> Row:
         """``t[X]`` for a single tuple ``t`` of this relation."""

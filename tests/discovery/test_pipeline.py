@@ -1,7 +1,10 @@
 """The discover() orchestration and the minimal-cover reduction."""
 
+import gc
+
 import pytest
 
+from repro.core.ind_kernel import INDKernel
 from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.discovery import discover, minimal_cover
@@ -51,6 +54,27 @@ class TestDiscover:
         report = discover(demo_db(), reduce=False)
         assert not report.reduced
         assert report.cover == report.dependencies
+
+    def test_a_pass_leaves_no_cyclic_ind_garbage(self):
+        """Compiled INDs die by reference counting: a kernel points
+        back at its premise only weakly, so a pass leaves no IND or
+        kernel for the cycle collector."""
+        db = demo_db()
+        discover(db)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            discover(db)
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage if isinstance(obj, (IND, INDKernel))
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_totals_aggregate_phases(self):
         report = discover(demo_db())

@@ -10,8 +10,14 @@ Three invariants pin the subsystem:
   ``Sigma`` yields a cover equivalent to ``Sigma`` under ``implies``
   (the acceptance criterion of E19), for FD sets via
   ``armstrong_relation`` and IND sets via ``armstrong_database``.
+
+The reduction itself is pinned by a differential oracle: the
+retract -> implies -> add-back loop over a live session, kept here as
+test-only code, must produce the identical cover (and the identical
+session) that :func:`~repro.discovery.pipeline.minimal_cover` does.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +27,11 @@ from repro.core.fd_closure import equivalent_fd_sets, fd_implies
 from repro.core.ind_prover import implies_ind
 from repro.deps.enumeration import all_fds, all_inds
 from repro.deps.fd import FD
-from repro.discovery import discover, discover_fds, discover_inds
+from repro.deps.ind import IND
+from repro.discovery import discover, discover_fds, discover_inds, minimal_cover
+from repro.discovery.pipeline import _exact_engines_cover, _reduction_order
 from repro.engine import ReasoningSession
+from repro.exceptions import ChaseBudgetExceeded, SearchBudgetExceeded
 from repro.model.database import Database
 from repro.model.schema import DatabaseSchema
 
@@ -141,3 +150,134 @@ def test_minimal_cover_preserves_the_theory(schema, data):
         else:
             implied = implies_ind(cover_inds, dep)
         assert implied or session.implies(dep).verdict, dep
+
+
+# -- the differential oracle for minimal_cover --------------------------------
+
+
+def _oracle_implied_without(session, dep) -> bool:
+    session.retract(dep)
+    try:
+        implied = session.implies(dep).verdict
+    except (ChaseBudgetExceeded, SearchBudgetExceeded):
+        implied = False
+    if not implied:
+        session.add(dep)
+    return implied
+
+
+def _oracle_reduce_class(schema, dependencies: list) -> list:
+    if len(dependencies) < 2:
+        return list(dependencies)
+    scratch = ReasoningSession(schema, dependencies)
+    for dep in _reduction_order(dependencies):
+        _oracle_implied_without(scratch, dep)
+    return list(scratch.dependencies)
+
+
+def oracle_cover(session, strategy: str) -> list:
+    """Greedy reduction through the session lifecycle: every question
+    retracts the dependency, asks, and adds it back unless implied."""
+    if strategy == "auto":
+        strategy = "full" if _exact_engines_cover(session) else "class-local"
+    if strategy == "full":
+        for dep in _reduction_order(session.dependencies):
+            _oracle_implied_without(session, dep)
+        return list(session.dependencies)
+    fds = [dep for dep in session.dependencies if isinstance(dep, FD)]
+    inds = [dep for dep in session.dependencies if isinstance(dep, IND)]
+    keep_fd = _oracle_reduce_class(session.schema, fds)
+    keep_ind = _oracle_reduce_class(session.schema, inds)
+    dropped = (set(fds) - set(keep_fd)) | (set(inds) - set(keep_ind))
+    doomed = [dep for dep in session.dependencies if dep in dropped]
+    if doomed:
+        session.retract(doomed)
+    return list(session.dependencies)
+
+
+STRATEGIES = ("auto", "full", "class-local")
+BUDGETS = dict(max_nodes=50_000, max_rounds=30, max_tuples=5_000)
+
+
+def assert_cover_matches_oracle(schema, premises, strategies=STRATEGIES):
+    """``minimal_cover`` and the oracle return the same list, in the
+    same order, and leave the session with the same premises."""
+    for strategy in strategies:
+        fast = ReasoningSession(schema, premises, **BUDGETS)
+        slow = ReasoningSession(schema, premises, **BUDGETS)
+        expected = [str(dep) for dep in oracle_cover(slow, strategy)]
+        got = [str(dep) for dep in minimal_cover(fast, strategy)]
+        assert got == expected, strategy
+        assert [str(dep) for dep in fast.dependencies] == expected, strategy
+
+
+@COMMON
+@given(schemas(max_relations=2, max_arity=3), st.data())
+def test_minimal_cover_matches_the_lifecycle_oracle(schema, data):
+    """Every strategy returns the oracle's cover on mined premises:
+    each class alone, and both together.  Forced ``full`` is left out
+    on the mixed set only: there it runs the chase once per premise
+    through the same lifecycle loop as the oracle."""
+    db = data.draw(databases(schema, max_tuples=3, domain=3))
+    for classes in (("ind",), ("fd",)):
+        mined = discover(db, classes=classes, reduce=False).dependencies
+        assert_cover_matches_oracle(schema, mined)
+    assert_cover_matches_oracle(
+        schema, discover(db, reduce=False).dependencies,
+        strategies=("auto", "class-local"),
+    )
+
+
+@COMMON
+@given(schemas(max_relations=3, max_arity=3), st.data())
+def test_minimal_cover_matches_the_oracle_on_drawn_premises(schema, data):
+    """Hand-drawn premise sets: pure classes, mixtures and duplicates
+    (a premise may be drawn twice), none of them mined."""
+    kinds = data.draw(st.sampled_from(("ind", "fd", "both")))
+    premises = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = kinds if kinds != "both" else data.draw(
+            st.sampled_from(("ind", "fd"))
+        )
+        premises.append(data.draw(inds(schema) if kind == "ind" else fds(schema)))
+    if premises and data.draw(st.booleans()):
+        premises.append(data.draw(st.sampled_from(premises)))
+    assert_cover_matches_oracle(schema, premises)
+
+
+_SCHEMA = DatabaseSchema.from_dict(
+    {"R": ("A", "B", "C"), "S": ("A", "B", "C"), "T": ("A", "B")}
+)
+
+
+@pytest.mark.parametrize(
+    "premises",
+    [
+        pytest.param([
+            "R[A,B] <= S[A,B]", "R[A] <= S[A]", "S[A,B] <= T[A,B]",
+            "R[A,B] <= T[A,B]", "T[B] <= R[C]", "R[B] <= T[B]",
+        ], id="pure-ind"),
+        pytest.param([
+            "R: A -> B", "R: B -> C", "R: A -> C", "R: A,B -> C",
+            "S: A -> B", "S: -> C",
+        ], id="pure-fd"),
+        pytest.param([
+            "R[A] <= S[A]", "S[A] <= T[A]", "R[A] <= T[A]",
+            "T: A -> B", "S: A -> B", "T[B] <= S[B]",
+        ], id="mixed-unary"),
+        pytest.param([
+            "R[A,B] <= S[A,B]", "R[A] <= S[A]", "S: A -> B",
+            "R: A -> B", "S: A -> C", "S: A -> B,C",
+        ], id="mixed-non-unary"),
+        pytest.param([
+            "R[A] <= S[A]", "R[A] <= S[A]", "S[A] <= T[A]",
+            "R: A -> B", "R: A -> B", "R[A] <= T[A]",
+        ], id="duplicates"),
+    ],
+)
+def test_minimal_cover_matches_the_oracle_on_hand_built_sessions(premises):
+    from repro.deps.parser import parse_dependency
+
+    assert_cover_matches_oracle(
+        _SCHEMA, [parse_dependency(text) for text in premises]
+    )

@@ -1,11 +1,12 @@
 """Property-based tests for the relational substrate."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.deps.ind import IND
+from repro.model.builders import database
 
-from tests.properties.strategies import databases, schemas
+from tests.properties.strategies import databases, inds, schemas
 
 COMMON = settings(
     max_examples=60,
@@ -82,3 +83,47 @@ def test_with_tuples_monotone_for_target(schema, data):
     )
     bigger = db.with_tuples(ind.rhs_relation, [extra])
     assert bigger.satisfies(ind) or ind.lhs_relation == ind.rhs_relation
+
+
+def _projection(rel, attrs) -> set:
+    """``{t[X] : t in r}`` straight from the definition."""
+    positions = [rel.schema.attributes.index(attr) for attr in attrs]
+    return {tuple(row[p] for p in positions) for row in rel.tuples}
+
+
+@st.composite
+def ind_instances(draw):
+    schema = draw(schemas())
+    return draw(databases(schema, max_tuples=4, domain=3)), draw(inds(schema))
+
+
+_PAIR = {"R": ("A", "B"), "S": ("A", "B")}
+
+
+@COMMON
+@given(ind_instances())
+@example((database(_PAIR, {"S": [(1, 2)]}), IND("R", "A", "S", "B")))
+@example((database(_PAIR, {"R": [(1, 2)]}), IND("R", "A", "S", "B")))
+@example((database(_PAIR, {"R": [(1, 2)], "S": [(1, 2)]}),
+          IND("R", ("A", "B"), "S", ("A", "B"))))
+@example((database(_PAIR, {"R": [(1, 2)], "S": [(2, 1)]}),
+          IND("R", ("A", "B"), "S", ("B", "A"))))
+@example((database(_PAIR, {"R": [(1, 2), (2, 3)]}),
+          IND("R", "B", "R", "A")))
+@example((database(_PAIR, {"R": [(1, 2), (2, 1)]}),
+          IND("R", ("A", "B"), "R", ("B", "A"))))
+def test_ind_holds_in_matches_the_definition(instance):
+    """``holds_in`` (streamed left side, early exit) decides exactly
+    ``{t[X] : t in r} <= {u[Y] : u in s}``, and ``project`` returns
+    exactly ``{t[X] : t in r}`` on both sides.  The examples pin an
+    empty left and an empty right relation, arity 1, permuted sides
+    and a self-relation IND."""
+    db, ind = instance
+    left = db.relation(ind.lhs_relation)
+    right = db.relation(ind.rhs_relation)
+    source = _projection(left, ind.lhs_attributes)
+    target = _projection(right, ind.rhs_attributes)
+    assert left.project(ind.lhs_attributes) == source
+    assert right.project(ind.rhs_attributes) == target
+    assert ind.holds_in(db) == (source <= target)
+    assert ind.reversed().holds_in(db) == (target <= source)

@@ -9,11 +9,15 @@ entry, closure memo, key memo, or unary-closure cache the scoped
 invalidation failed to drop shows up as a verdict mismatch.
 """
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ReasoningSession
-from repro.exceptions import ReproError
+from repro.deps.ind import IND
+from repro.engine import PremiseIndex, ReasoningSession
+from repro.exceptions import DependencyError, ReproError
 from repro.model.schema import DatabaseSchema
 from tests.properties.strategies import fds, inds
 
@@ -125,3 +129,72 @@ class TestLifecycleOracleEquivalence:
         child_oracle = ReasoningSession(SCHEMA, list(child_premises), **BUDGETS)
         assert observe(child) == observe(child_oracle)
         assert observe(session) == observe(parent_oracle)
+
+
+def buckets(index: PremiseIndex) -> list:
+    """Every bucket of the index, rendered, in bucket order."""
+    def rendered(mapping):
+        return {key: [str(dep) for dep in bucket]
+                for key, bucket in mapping.items()}
+
+    kernels = index.ind_kernels
+    return [
+        [str(dep) for dep in index.dependencies],
+        rendered(index.inds_by_lhs),
+        rendered(index.inds_by_rhs),
+        rendered(index.fds_by_relation),
+        rendered(kernels.premises),
+        {key: [str(kernel.ind) for kernel in bucket]
+         for key, bucket in kernels.buckets.items()},
+        [str(dep) for dep in index.inds + index.fds],
+        index.all_unary,
+        index.premise_hash,
+        {key: value for key, value in index.stats().items()
+         if key in ("inds", "fds", "relations_with_outgoing_inds")},
+    ]
+
+
+def _equal_copy(dep):
+    """An equal premise, rendered differently when the IND's left side
+    is unsorted (so bucket order shows which occurrence was taken)."""
+    return dep.canonical() if isinstance(dep, IND) else dep
+
+
+@st.composite
+def retract_batches(draw):
+    """Premises with duplicates, and a batch naming some of them,
+    possibly more often than they occur."""
+    premises = draw(st.lists(st.one_of(inds(SCHEMA), fds(SCHEMA)),
+                             max_size=10))
+    if not premises:
+        return premises, []
+    premises += [
+        _equal_copy(dep)
+        for dep in draw(st.lists(st.sampled_from(premises), max_size=3))
+    ]
+    batch = draw(st.lists(st.sampled_from(premises), max_size=len(premises)))
+    return premises, batch
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(retract_batches())
+def test_batch_retract_equals_a_fresh_index_over_the_survivors(case):
+    """One batched retract leaves every bucket (premise lists, kernel
+    buckets, class views) exactly as a fresh index over the surviving
+    premises builds them, in the same order; a batch naming a premise
+    more often than it occurs raises and changes nothing."""
+    premises, batch = case
+    index = PremiseIndex(SCHEMA, premises)
+    if Counter(batch) - Counter(premises):
+        with pytest.raises(DependencyError, match="not among the premises"):
+            index.retract(batch)
+        assert buckets(index) == buckets(PremiseIndex(SCHEMA, premises))
+        return
+    index.retract(batch)
+    survivors = list(premises)
+    for dep in batch:
+        survivors.remove(dep)
+    assert [str(dep) for dep in index.dependencies] == [
+        str(dep) for dep in survivors
+    ]
+    assert buckets(index) == buckets(PremiseIndex(SCHEMA, survivors))
