@@ -3,10 +3,10 @@
 This PR compiles the hot paths: premise kernels for the Corollary 3.2
 BFS (dict-lookup successors, deferred ChainLink allocation, shared
 compilation), the linear-time [BB] counter closure for FDs, and a
-delta-driven semi-naive chase.  The naive formulations are retained
-(``decide_ind_naive``, ``attribute_closure_naive``, the ``"naive"``
-chase strategy), so the acceptance criteria are asserted against real
-code in the same process:
+delta-driven semi-naive chase.  The naive formulations live in
+:mod:`repro.reference` (``decide_ind_naive``, ``attribute_closure_naive``,
+``NaiveChaseEngine``), so the acceptance criteria are asserted against
+real code in the same process:
 
 * the single-decision microbenchmark must be >=3x faster than the
   naive BFS;
@@ -17,8 +17,9 @@ import pytest
 
 from floor_workloads import best_seconds, chase_workload, decision_workload
 from repro.core.fdind_chase import ChaseEngine
-from repro.core.ind_decision import decide_ind, decide_ind_naive, index_by_lhs
+from repro.core.ind_decision import decide_ind, index_by_lhs
 from repro.core.ind_kernel import KernelIndex
+from repro.reference import NaiveChaseEngine, decide_ind_naive
 
 
 @pytest.mark.artifact("kernel-decision")
@@ -50,8 +51,8 @@ def test_chase_to_fixpoint_at_least_2x_faster_than_naive():
     """Acceptance criterion: semi-naive chase >=2x the naive rescan on
     the chain workload (equal rounds and equal final instance size)."""
     schema, deps, build_instance = chase_workload()
-    semi = ChaseEngine(schema, deps, strategy="semi-naive")
-    naive = ChaseEngine(schema, deps, strategy="naive")
+    semi = ChaseEngine(schema, deps)
+    naive = NaiveChaseEngine(schema, deps)
 
     semi_outcome = semi.run(build_instance())
     naive_outcome = naive.run(build_instance())
@@ -76,12 +77,8 @@ def test_noop_rounds_scan_deltas_not_rows():
     semi-naive engine examines each row version a constant number of
     times, while the naive engine rescans every row in every round."""
     schema, deps, build_instance = chase_workload()
-    semi_outcome = ChaseEngine(schema, deps, strategy="semi-naive").run(
-        build_instance()
-    )
-    naive_outcome = ChaseEngine(schema, deps, strategy="naive").run(
-        build_instance()
-    )
+    semi_outcome = ChaseEngine(schema, deps).run(build_instance())
+    naive_outcome = NaiveChaseEngine(schema, deps).run(build_instance())
     assert semi_outcome.rows_scanned * 5 <= naive_outcome.rows_scanned, (
         f"semi-naive scanned {semi_outcome.rows_scanned} rows vs naive "
         f"{naive_outcome.rows_scanned}; the delta-driven engine must not "
@@ -102,7 +99,7 @@ def test_timed_single_decide(benchmark):
 def test_timed_chase_fixpoint(benchmark):
     """Timed artifact: the semi-naive chase to fixpoint."""
     schema, deps, build_instance = chase_workload()
-    engine = ChaseEngine(schema, deps, strategy="semi-naive")
+    engine = ChaseEngine(schema, deps)
     outcome = benchmark.pedantic(
         lambda inst: engine.run(inst),
         setup=lambda: ((build_instance(),), {}),

@@ -20,10 +20,11 @@ real code in the same process:
 import pytest
 
 from floor_workloads import best_seconds, serving_workload
-from repro.core.ind_decision import chain_is_valid, decide_ind, decide_ind_naive
+from repro.core.ind_decision import chain_is_valid, decide_ind
 from repro.core.ind_kernel import KernelIndex
 from repro.deps.ind import IND
 from repro.engine import ReasoningSession
+from repro.reference import decide_ind_naive
 
 
 @pytest.mark.artifact("reach-serving")

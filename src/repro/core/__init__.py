@@ -12,7 +12,7 @@
 * ``fd_closure`` — the FD substrate (attribute closure, implication,
   covers, keys), with the linear-time [BB] counter kernel.
 * ``fdind_chase`` — the general chase for FDs + INDs (semi-decision;
-  the combined problem is undecidable), semi-naive by default.
+  the combined problem is undecidable), delta-driven (semi-naive).
 * ``ind_kernel`` — compiled premise kernels for the Corollary 3.2
   search (memoized successor maps, interned expressions).
 * ``reach_index`` — the SCC-condensed bitset closure index amortizing
@@ -29,7 +29,6 @@
 from repro.core.fd_closure import (
     FDClosureKernel,
     attribute_closure,
-    attribute_closure_naive,
     candidate_keys,
     fd_implies,
     implied_fds,
@@ -46,7 +45,7 @@ from repro.core.ind_axioms import (
     reflexivity,
 )
 from repro.core.ind_bidirectional import decide_ind_bidirectional
-from repro.core.ind_decision import DecisionResult, decide_ind, decide_ind_naive
+from repro.core.ind_decision import DecisionResult, decide_ind
 from repro.core.ind_prover import (
     decide_bounded_arity,
     decide_typed,
@@ -65,7 +64,6 @@ __all__ = [
     "KernelIndex",
     "ReachIndex",
     "attribute_closure",
-    "attribute_closure_naive",
     "compile_ind",
     "candidate_keys",
     "fd_implies",
@@ -79,7 +77,6 @@ __all__ = [
     "reflexivity",
     "DecisionResult",
     "decide_ind",
-    "decide_ind_naive",
     "decide_ind_bidirectional",
     "decide_bounded_arity",
     "decide_typed",

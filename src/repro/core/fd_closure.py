@@ -35,8 +35,8 @@ class FDClosureKernel:
     attributes not yet in the closure, plus attribute -> FD incidence
     lists.  Each attribute enters the closure once and decrements each
     incident counter once, so one closure query is ``O(total FD
-    size)`` instead of the quadratic re-scan fixpoint (retained as
-    :func:`attribute_closure_naive` for differential testing).
+    size)`` instead of the quadratic re-scan fixpoint (whose textbook
+    form :mod:`repro.reference` keeps for differential testing).
 
     Compile once per FD set — ``PremiseIndex`` keeps one kernel per
     relation and reuses it across every closure, implication,
@@ -111,32 +111,6 @@ def attribute_closure(
     """
     pool = list(fds) if relation is None else _relevant(fds, relation)
     return FDClosureKernel(pool).closure(attrs)
-
-
-def attribute_closure_naive(
-    attrs: Iterable[str],
-    fds: Iterable[FD],
-    relation: str | None = None,
-) -> frozenset[str]:
-    """The textbook quadratic fixpoint, retained as the differential
-    reference for :class:`FDClosureKernel`: repeatedly add ``Y``
-    whenever some FD ``W -> Y`` has ``W`` inside the current set."""
-    closure = set(attrs)
-    pool = list(fds) if relation is None else _relevant(fds, relation)
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for fd in pool:
-            if fd.lhs_set <= closure:
-                new = fd.rhs_set - closure
-                if new:
-                    closure |= new
-                    changed = True
-            else:
-                remaining.append(fd)
-        pool = remaining
-    return frozenset(closure)
 
 
 def fd_implies(fds: Iterable[FD], fd: FD) -> bool:

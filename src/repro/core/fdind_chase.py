@@ -19,27 +19,21 @@ The engine keeps an event log (tuple additions with the responsible
 IND, value merges with the responsible FD) so that derivations like
 the equality chain of Lemma 7.2 can be replayed and inspected.
 
-Two evaluation strategies share the rule semantics:
-
-* ``"semi-naive"`` (the default) is delta-driven: every rule keeps a
-  cursor into an append-only per-relation journal of added/rewritten
-  rows, FD group tables and IND projection-counts persist across
-  rounds, and a value merge repairs the affected rows and indexes in
-  place (``rows_by_value`` reverse index) instead of re-canonicalizing
-  every stored tuple through :meth:`ChaseInstance.normalize`.  A round
-  in which nothing changed scans nothing — O(deltas), not O(rows).
-* ``"naive"`` is the textbook re-scan-everything formulation, retained
-  as the differential-testing and benchmarking reference.
-
-Both strategies fire the same logical rule instances in the same round
-structure, so they decide identically and chase to isomorphic
-fixpoints (asserted over random instances by the property suite).
+Evaluation is semi-naive (delta-driven): every rule keeps a cursor
+into an append-only per-relation journal of added/rewritten rows, FD
+group tables and IND projection-counts persist across rounds, and a
+value merge repairs the affected rows and indexes in place
+(``rows_by_value`` reverse index) instead of re-canonicalizing every
+stored tuple through :meth:`ChaseInstance.normalize`.  A round in
+which nothing changed scans nothing — O(deltas), not O(rows).  The
+property suite pins it to the textbook re-scan chase kept in
+:mod:`repro.reference` (same verdicts, rounds and fired rules).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.exceptions import (
     ChaseBudgetExceeded,
@@ -182,8 +176,8 @@ class ChaseInstance:
         return Database(self.schema, relations)
 
 
-class _SemiNaiveState:
-    """Delta-evaluation state for one semi-naive run over one instance.
+class _DeltaState:
+    """Delta-evaluation state for one chase run over one instance.
 
     Maintains, across rounds:
 
@@ -193,8 +187,7 @@ class _SemiNaiveState:
       application only examines rows it has never seen in their
       current form;
     * ``fd_groups`` — per-FD lhs-values -> rhs-values tables that
-      persist across rounds (the naive engine rebuilds them from all
-      rows on every invocation).  Entries whose values are merged away
+      persist across rounds.  Entries whose values are merged away
       become unreachable garbage; correctness is preserved because
       lookups key on canonical values and every comparison goes
       through the union-find;
@@ -340,7 +333,6 @@ class _SemiNaiveState:
     def apply_rd(self, index: int, rd: RD) -> bool:
         instance = self.instance
         pair_pos = self.engine._rd_positions[index]
-        rows = instance.relations[rd.relation]
         log = self.logs[rd.relation]
         cursor = self.rd_cursors[index]
         end = len(log)
@@ -350,8 +342,10 @@ class _SemiNaiveState:
             row = log[cursor]
             cursor += 1
             self.rows_scanned += 1
-            if row not in rows:
-                continue
+            # A row rewritten since it was journaled is still checked:
+            # through ``find`` it stands for its current form, so one
+            # pass leaves every row satisfying the RD, as a full rescan
+            # does (and the same RD, not a later rule, does the merges).
             for left, right in pair_pos:
                 a, b = row[left], row[right]
                 if find(a) != find(b):
@@ -397,9 +391,8 @@ class ChaseOutcome:
     """Result of running the chase to fixpoint (or budget).
 
     ``rows_scanned`` counts the rows the run's rule applications
-    examined — the work measure that separates the semi-naive strategy
-    (O(deltas) per round) from the naive rescan (O(rows) per rule per
-    round).
+    examined: O(deltas) per round, where a re-scan chase pays O(rows)
+    per rule per round.
     """
 
     instance: ChaseInstance
@@ -410,9 +403,6 @@ class ChaseOutcome:
     rows_scanned: int = 0
 
 
-STRATEGIES = ("semi-naive", "naive")
-
-
 def _no_tick() -> None:
     """The default cooperative check: free, never fires."""
 
@@ -420,18 +410,8 @@ def _no_tick() -> None:
 class ChaseEngine:
     """Runs FD/IND/RD chase steps over a :class:`ChaseInstance`."""
 
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        dependencies: Iterable[Dependency],
-        strategy: str = "semi-naive",
-    ):
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown chase strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
+    def __init__(self, schema: DatabaseSchema, dependencies: Iterable[Dependency]):
         self.schema = schema
-        self.strategy = strategy
         self.fds: list[FD] = []
         self.inds: list[IND] = []
         self.rds: list[RD] = []
@@ -479,79 +459,6 @@ class ChaseEngine:
                 )
             )
             self._inds_into.setdefault(ind.rhs_relation, []).append(index)
-        self.rows_scanned = 0
-
-    # -- single steps (naive reference) ------------------------------------
-
-    def _apply_fd(self, instance: ChaseInstance, fd: FD) -> bool:
-        rel_schema = self.schema.relation(fd.relation)
-        lhs_pos = rel_schema.positions(fd.lhs)
-        rhs_pos = rel_schema.positions(fd.rhs)
-        changed = False
-        groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for row in list(instance.relations[fd.relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            key = tuple(row[p] for p in lhs_pos)
-            image = tuple(row[p] for p in rhs_pos)
-            other = groups.get(key)
-            if other is None:
-                groups[key] = image
-                continue
-            for a, b in zip(other, image):
-                if instance.find(a) != instance.find(b):
-                    instance.merge(a, b, fd)
-                    changed = True
-        if changed:
-            instance.normalize()
-        return changed
-
-    def _apply_rd(self, instance: ChaseInstance, rd: RD) -> bool:
-        rel_schema = self.schema.relation(rd.relation)
-        changed = False
-        for row in list(instance.relations[rd.relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            for left, right in rd.pairs:
-                a = row[rel_schema.position(left)]
-                b = row[rel_schema.position(right)]
-                if instance.find(a) != instance.find(b):
-                    instance.merge(a, b, rd)
-                    changed = True
-        if changed:
-            instance.normalize()
-        return changed
-
-    def _apply_ind(self, instance: ChaseInstance, ind: IND) -> bool:
-        src_schema = self.schema.relation(ind.lhs_relation)
-        dst_schema = self.schema.relation(ind.rhs_relation)
-        src_pos = src_schema.positions(ind.lhs_attributes)
-        dst_pos = dst_schema.positions(ind.rhs_attributes)
-        existing = {
-            tuple(row[p] for p in dst_pos)
-            for row in (
-                instance.canonical_row(r)
-                for r in instance.relations[ind.rhs_relation]
-            )
-        }
-        changed = False
-        for row in list(instance.relations[ind.lhs_relation]):
-            self.rows_scanned += 1
-            row = instance.canonical_row(row)
-            needed = tuple(row[p] for p in src_pos)
-            if needed in existing:
-                continue
-            new_row: list[int] = [
-                instance.fresh_null() for _ in range(dst_schema.arity)
-            ]
-            for value, pos in zip(needed, dst_pos):
-                new_row[pos] = value
-            instance.add_row(ind.rhs_relation, new_row, ind)
-            existing.add(needed)
-            changed = True
-        return changed
-
-    # -- full runs ------------------------------------------------------------
 
     def run(
         self,
@@ -563,9 +470,9 @@ class ChaseEngine:
     ) -> ChaseOutcome:
         """Chase to fixpoint; raise on budget exhaustion.
 
-        A round applies all equality rules to their own fixpoint, then
-        every IND once.  The chase is monotone in the derived facts, so
-        fixpoint detection is sound.
+        A round applies all equality rules (FDs, then RDs) to their own
+        fixpoint, then every IND once.  The chase is monotone in the
+        derived facts, so fixpoint detection is sound.
 
         ``goal`` is an optional predicate over the instance; when it
         turns true the run stops early (sound for implication testing:
@@ -575,87 +482,20 @@ class ChaseEngine:
 
         ``tick`` is an optional zero-argument cooperative check (a
         :meth:`~repro.engine.deadline.Deadline.check`, typically),
-        polled before every rule application; whatever it raises
+        polled before every rule application, so the time between
+        checks is bounded by one rule's scan; whatever it raises
         propagates with the instance left mid-chase.
-
-        The engine's ``strategy`` selects semi-naive (delta-driven,
-        the default) or naive (full rescan) evaluation; both apply the
-        same rule instances in the same round structure.
-        """
-        self.rows_scanned = 0
-        if self.strategy == "semi-naive":
-            return self._run_semi_naive(instance, max_rounds, max_tuples,
-                                        goal, tick)
-        return self._run_naive(instance, max_rounds, max_tuples, goal, tick)
-
-    def _run_naive(
-        self,
-        instance: ChaseInstance,
-        max_rounds: int,
-        max_tuples: int,
-        goal,
-        tick,
-    ) -> ChaseOutcome:
-        return self._drive(
-            instance, max_rounds, max_tuples, goal,
-            fd_step=lambda _i, fd: self._apply_fd(instance, fd),
-            rd_step=lambda _i, rd: self._apply_rd(instance, rd),
-            ind_step=lambda _i, ind: self._apply_ind(instance, ind),
-            scanned=lambda: self.rows_scanned,
-            tick=tick,
-        )
-
-    def _run_semi_naive(
-        self,
-        instance: ChaseInstance,
-        max_rounds: int,
-        max_tuples: int,
-        goal,
-        tick,
-    ) -> ChaseOutcome:
-        state = _SemiNaiveState(self, instance)
-
-        def scanned() -> int:
-            self.rows_scanned = state.rows_scanned
-            return state.rows_scanned
-
-        return self._drive(
-            instance, max_rounds, max_tuples, goal,
-            fd_step=state.apply_fd,
-            rd_step=state.apply_rd,
-            ind_step=state.apply_ind,
-            scanned=scanned,
-            tick=tick,
-        )
-
-    def _drive(
-        self,
-        instance: ChaseInstance,
-        max_rounds: int,
-        max_tuples: int,
-        goal,
-        fd_step,
-        rd_step,
-        ind_step,
-        scanned,
-        tick=None,
-    ) -> ChaseOutcome:
-        """The round loop both strategies share.
-
-        ``*_step(index, rule) -> changed`` applies one rule (naive:
-        engine methods; semi-naive: state methods); ``scanned()``
-        reports the work counter.  One driver is what guarantees the
-        two strategies fire rules in the same round structure.
-        ``tick`` (when given) is polled before every rule application,
-        bounding the time between cooperative checks by one rule's
-        scan over the instance.
         """
         if tick is None:
             tick = _no_tick
+        state = _DeltaState(self, instance)
+        equality_rules = [
+            *((state.apply_fd, index, fd) for index, fd in enumerate(self.fds)),
+            *((state.apply_rd, index, rd) for index, rd in enumerate(self.rds)),
+        ]
         rounds = 0
         if goal is not None and goal(instance):
-            return ChaseOutcome(instance, rounds, reached_fixpoint=False,
-                                rows_scanned=scanned())
+            return ChaseOutcome(instance, rounds, reached_fixpoint=False)
         while rounds < max_rounds:
             rounds += 1
             changed = False
@@ -663,38 +503,26 @@ class ChaseEngine:
             equality_changed = True
             while equality_changed:
                 equality_changed = False
-                for index, fd in enumerate(self.fds):
+                for apply, index, rule in equality_rules:
                     tick()
                     try:
-                        if fd_step(index, fd):
+                        if apply(index, rule):
                             equality_changed = True
                     except DependencyError as exc:
                         return ChaseOutcome(
                             instance, rounds, reached_fixpoint=False,
                             failed=True, failure_reason=str(exc),
-                            rows_scanned=scanned(),
-                        )
-                for index, rd in enumerate(self.rds):
-                    tick()
-                    try:
-                        if rd_step(index, rd):
-                            equality_changed = True
-                    except DependencyError as exc:
-                        return ChaseOutcome(
-                            instance, rounds, reached_fixpoint=False,
-                            failed=True, failure_reason=str(exc),
-                            rows_scanned=scanned(),
+                            rows_scanned=state.rows_scanned,
                         )
                 changed = changed or equality_changed
             for index, ind in enumerate(self.inds):
                 tick()
-                if ind_step(index, ind):
+                if state.apply_ind(index, ind):
                     changed = True
             if goal is not None and goal(instance):
                 return ChaseOutcome(instance, rounds, reached_fixpoint=False,
-                                    rows_scanned=scanned())
+                                    rows_scanned=state.rows_scanned)
             if instance.total_tuples() > max_tuples:
-                scanned()
                 raise ChaseBudgetExceeded(
                     f"chase exceeded {max_tuples} tuples after {rounds} rounds",
                     rounds=rounds,
@@ -702,8 +530,7 @@ class ChaseEngine:
                 )
             if not changed:
                 return ChaseOutcome(instance, rounds, reached_fixpoint=True,
-                                    rows_scanned=scanned())
-        scanned()
+                                    rows_scanned=state.rows_scanned)
         raise ChaseBudgetExceeded(
             f"chase did not converge within {max_rounds} rounds",
             rounds=rounds,
@@ -722,7 +549,6 @@ class ImplicationCertificate:
 
     implied: bool
     outcome: ChaseOutcome
-    detail: str = ""
 
     def counterexample(self) -> Optional[Database]:
         """The chased instance as a database, when it refutes the target."""
@@ -731,24 +557,18 @@ class ImplicationCertificate:
         return self.outcome.instance.to_database()
 
 
-def chase_implies(
-    schema: DatabaseSchema,
-    premises: Iterable[Dependency],
-    target: Dependency,
-    max_rounds: int = 200,
-    max_tuples: int = 100_000,
-    strategy: str = "semi-naive",
-    tick=None,
-) -> ImplicationCertificate:
-    """Decide ``premises |= target`` (unrestricted) by chasing.
+def implication_instance(
+    schema: DatabaseSchema, target: Dependency
+) -> tuple[ChaseInstance, Callable[[ChaseInstance], bool]]:
+    """The all-null start instance and goal predicate for ``target``.
 
-    Terminating chases give exact answers; divergence raises
-    :class:`ChaseBudgetExceeded`.  The target may be an FD, IND, or RD.
-    ``tick`` (an optional cooperative deadline check) is polled before
-    every rule application; see :meth:`ChaseEngine.run`.
+    * FD ``R: X -> Y`` — two ``R`` rows agreeing exactly on ``X``; the
+      goal is that their ``Y`` values are equated.
+    * RD ``R[X = Y]`` — one ``R`` row; the goal is ``X`` equated with
+      ``Y`` inside it.
+    * IND ``R[X] c S[Y]`` — one ``R`` row; the goal is an ``S`` row
+      whose ``Y`` projection equals the row's ``X`` projection.
     """
-    target.validate(schema)
-    engine = ChaseEngine(schema, premises, strategy=strategy)
     instance = ChaseInstance(schema)
 
     if isinstance(target, FD):
@@ -772,15 +592,7 @@ def chase_implies(
         def fd_goal(inst: ChaseInstance) -> bool:
             return all(inst.same(row1[p], row2[p]) for p in rhs_pos)
 
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=fd_goal, tick=tick,
-        )
-        implied = fd_goal(instance)
-        return ImplicationCertificate(
-            implied, outcome,
-            detail="rhs values equated" if implied else "rhs values distinct at fixpoint",
-        )
+        return instance, fd_goal
 
     if isinstance(target, RD):
         rel_schema = schema.relation(target.relation)
@@ -794,11 +606,7 @@ def chase_implies(
         def rd_goal(inst: ChaseInstance) -> bool:
             return all(inst.same(row[lp], row[rp]) for lp, rp in pair_pos)
 
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=rd_goal, tick=tick,
-        )
-        return ImplicationCertificate(rd_goal(instance), outcome)
+        return instance, rd_goal
 
     if isinstance(target, IND):
         src_schema = schema.relation(target.lhs_relation)
@@ -815,13 +623,34 @@ def chase_implies(
                 for r in inst.relations[target.rhs_relation]
             )
 
-        outcome = engine.run(
-            instance, max_rounds=max_rounds, max_tuples=max_tuples,
-            goal=ind_goal, tick=tick,
-        )
-        return ImplicationCertificate(ind_goal(instance), outcome)
+        return instance, ind_goal
 
     raise UnsupportedDependencyError(f"cannot chase target {target}")
+
+
+def chase_implies(
+    schema: DatabaseSchema,
+    premises: Iterable[Dependency],
+    target: Dependency,
+    max_rounds: int = 200,
+    max_tuples: int = 100_000,
+    tick=None,
+) -> ImplicationCertificate:
+    """Decide ``premises |= target`` (unrestricted) by chasing.
+
+    Terminating chases give exact answers; divergence raises
+    :class:`ChaseBudgetExceeded`.  The target may be an FD, IND, or RD.
+    ``tick`` (an optional cooperative deadline check) is polled before
+    every rule application; see :meth:`ChaseEngine.run`.
+    """
+    target.validate(schema)
+    engine = ChaseEngine(schema, premises)
+    instance, goal = implication_instance(schema, target)
+    outcome = engine.run(
+        instance, max_rounds=max_rounds, max_tuples=max_tuples,
+        goal=goal, tick=tick,
+    )
+    return ImplicationCertificate(goal(instance), outcome)
 
 
 def chase_database(
@@ -829,7 +658,6 @@ def chase_database(
     dependencies: Iterable[Dependency],
     max_rounds: int = 200,
     max_tuples: int = 100_000,
-    strategy: str = "semi-naive",
 ) -> Database:
     """Repair ``db`` into a superset instance satisfying ``dependencies``.
 
@@ -839,7 +667,7 @@ def chase_database(
     the referential-integrity example and workload generators.
     """
     schema = db.schema
-    engine = ChaseEngine(schema, dependencies, strategy=strategy)
+    engine = ChaseEngine(schema, dependencies)
     instance = ChaseInstance(schema)
     ids: dict[object, int] = {}
     for rel in db:

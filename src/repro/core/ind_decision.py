@@ -174,7 +174,6 @@ def successors(
     mapping, or a pre-compiled :class:`KernelIndex`; each applicable
     premise is evaluated through its memoized kernel, so repeated
     calls over the same expressions are dictionary hits.
-    :func:`successors_naive` is the retained textbook reference.
     """
     _relation, attrs = expression
     for premise in _premise_bucket_for(premises, _relation):
@@ -182,35 +181,6 @@ def successors(
         if entry is not None:
             nxt, positions = entry
             yield nxt, ChainLink(premise, positions)
-
-
-def successors_naive(
-    expression: Expression, premises: Union[Iterable[IND], PremiseIndexMap]
-) -> Iterable[tuple[Expression, ChainLink]]:
-    """The uncompiled successor computation, kept as the differential
-    reference for the kernel path: per-attribute ``lhs.index`` scans,
-    one :class:`ChainLink` per applicable premise."""
-    relation, attrs = expression
-    if isinstance(premises, Mapping):
-        candidates: Iterable[IND] = premises.get(relation, ())
-    else:
-        candidates = premises
-    for premise in candidates:
-        if premise.lhs_relation != relation:
-            continue
-        positions: list[int] = []
-        applicable = True
-        lhs = premise.lhs_attributes
-        for attr in attrs:
-            try:
-                positions.append(lhs.index(attr))
-            except ValueError:
-                applicable = False
-                break
-        if not applicable:
-            continue
-        image = tuple(premise.rhs_attributes[p] for p in positions)
-        yield (premise.rhs_relation, image), ChainLink(premise, tuple(positions))
 
 
 def decide_ind(
@@ -319,73 +289,6 @@ def _extract_chain(
     chain.reverse()
     links.reverse()
     return chain, links
-
-
-def decide_ind_naive(
-    target: IND,
-    premises: Union[Iterable[IND], PremiseIndexMap],
-    max_nodes: int = 2_000_000,
-) -> DecisionResult:
-    """The pre-kernel decision procedure, retained verbatim as the
-    differential-testing and benchmarking reference for
-    :func:`decide_ind` (same contract, same BFS order)."""
-    premise_index = (
-        premises if isinstance(premises, Mapping) else index_by_lhs(premises)
-    )
-    start = expression_of_lhs(target)
-    goal = expression_of_rhs(target)
-    if start == goal:
-        return DecisionResult(
-            implied=True, target=target, chain=[start], links=[], explored=1,
-            frontier_peak=1,
-        )
-
-    parents: dict[Expression, tuple[Expression, ChainLink]] = {}
-    visited: set[Expression] = {start}
-    queue: deque[Expression] = deque([start])
-    explored = 0
-    frontier_peak = 1
-
-    while queue:
-        frontier_peak = max(frontier_peak, len(queue))
-        current = queue.popleft()
-        explored += 1
-        if explored > max_nodes:
-            raise SearchBudgetExceeded(
-                f"IND decision exceeded {max_nodes} expressions", explored=explored
-            )
-        for nxt, link in successors_naive(current, premise_index):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            parents[nxt] = (current, link)
-            if nxt == goal:
-                chain = [nxt]
-                links: list[ChainLink] = []
-                node = nxt
-                while node != start:
-                    prev, via = parents[node]
-                    chain.append(prev)
-                    links.append(via)
-                    node = prev
-                chain.reverse()
-                links.reverse()
-                return DecisionResult(
-                    implied=True,
-                    target=target,
-                    chain=chain,
-                    links=links,
-                    explored=explored,
-                    frontier_peak=frontier_peak,
-                )
-            queue.append(nxt)
-
-    return DecisionResult(
-        implied=False,
-        target=target,
-        explored=explored,
-        frontier_peak=frontier_peak,
-    )
 
 
 def reachable_expressions(

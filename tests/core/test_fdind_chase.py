@@ -137,6 +137,19 @@ class TestRdImplicationByChase:
         cert = chase_implies(schema, premises, RD("R", ("Y",), ("Z",)))
         assert not cert.implied
 
+    def test_one_rd_pass_covers_rows_its_own_merges_rewrote(self):
+        # The first RD's merges on one row rewrite the other row; the
+        # same pass must still equate that row, as a full rescan does,
+        # leaving nothing for the second RD.
+        schema = DatabaseSchema.from_dict({"R": ("A", "B", "C")})
+        wide = RD("R", ("A", "B"), ("B", "C"))
+        premises = [wide, RD("R", ("A",), ("B",))]
+        cert = chase_implies(schema, premises, FD("R", ("A", "C"), ("B",)))
+        assert cert.implied
+        merges = cert.outcome.instance.events
+        assert len(merges) == 3
+        assert all(event.dependency == wide for event in merges)
+
 
 class TestDivergence:
     def test_cyclic_inds_with_fresh_nulls_terminate(self, schema):

@@ -108,7 +108,8 @@ class TestSuccessors:
         # An index_by_rhs bucket holds premises under their *right*
         # relation; none of them can move an expression forward, and
         # the kernel path must filter them like the naive path does.
-        from repro.core.ind_decision import index_by_rhs, successors_naive
+        from repro.core.ind_decision import index_by_rhs
+        from repro.reference import successors_naive
 
         premise = IND("R", ("A",), "S", ("A",))
         backward_index = index_by_rhs([premise])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.deps.fd import FD
 from repro.deps.ind import IND
+from repro.deps.rd import RD
 from repro.model.builders import database
 from repro.model.schema import DatabaseSchema, RelationSchema
 
@@ -57,6 +58,16 @@ def fds(draw, db_schema: DatabaseSchema):
     lhs = tuple(perm[:lhs_size]) or None
     rhs = (draw(st.sampled_from(list(rel.attributes))),)
     return FD(rel.name, lhs, rhs)
+
+
+@st.composite
+def rds(draw, db_schema: DatabaseSchema):
+    """A random well-formed RD ``R[X = Y]`` over ``db_schema``."""
+    rel = draw(st.sampled_from(list(db_schema)))
+    size = draw(st.integers(1, rel.arity))
+    left = tuple(draw(st.permutations(list(rel.attributes)))[:size])
+    right = tuple(draw(st.permutations(list(rel.attributes)))[:size])
+    return RD(rel.name, left, right)
 
 
 @st.composite

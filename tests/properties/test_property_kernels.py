@@ -1,11 +1,12 @@
-"""Differential properties: compiled kernels vs the retained naive code.
+"""Differential properties: compiled kernels vs the reference oracles.
 
-Every compiled hot path keeps its textbook formulation in-tree
-(``successors_naive``, ``decide_ind_naive``, ``attribute_closure_naive``,
-the ``"naive"`` chase strategy).  These properties pin the kernels to
-them on random schemas and premise sets: same verdicts, same witness
-chains, same BFS statistics, same closures, and chase runs that fire
-the same events round for round.
+Every compiled hot path has its textbook formulation in
+:mod:`repro.reference` (``successors_naive``, ``decide_ind_naive``,
+``attribute_closure_naive``, ``NaiveChaseEngine`` behind
+``chase_implies_naive``).  These properties pin the kernels to them on
+random schemas and premise sets: same verdicts, same witness chains,
+same BFS statistics, same closures, and chase runs that fire the same
+events round for round.
 """
 
 from collections import Counter
@@ -13,23 +14,26 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.fd_closure import (
-    FDClosureKernel,
-    attribute_closure,
-    attribute_closure_naive,
-)
+from repro.core.fd_closure import FDClosureKernel, attribute_closure
 from repro.core.fdind_chase import AddEvent, MergeEvent, chase_implies
-from repro.core.ind_decision import (
-    decide_ind,
-    decide_ind_naive,
-    successors,
-    successors_naive,
-)
+from repro.core.ind_decision import decide_ind, successors
 from repro.core.ind_kernel import KernelIndex, compile_ind
 from repro.deps.fd import FD
 from repro.exceptions import ChaseBudgetExceeded
+from repro.reference import (
+    attribute_closure_naive,
+    chase_implies_naive,
+    decide_ind_naive,
+    successors_naive,
+)
 
-from tests.properties.strategies import attribute_subsequences, fds, inds, schemas
+from tests.properties.strategies import (
+    attribute_subsequences,
+    fds,
+    inds,
+    rds,
+    schemas,
+)
 
 COMMON = settings(
     max_examples=60,
@@ -114,8 +118,8 @@ def test_ind_kernel_compilation_is_memoized(schema, data):
 def _event_signature(events):
     """Order-free summary of a chase event log: how many tuples each
     dependency added to each relation, and how many merges each
-    dependency performed.  Null ids differ between strategies (rows
-    are visited in different orders), so the signature abstracts them
+    dependency performed.  Null ids differ between the two engines
+    (rows are visited in different orders), so the signature abstracts them
     away while still pinning which rules fired how often."""
     return Counter(
         (type(event).__name__, str(event.dependency),
@@ -127,27 +131,25 @@ def _event_signature(events):
 @COMMON
 @given(schemas(), st.data())
 def test_semi_naive_chase_matches_naive(schema, data):
-    """Semi-naive chase == naive chase on random mixed implication
-    questions: same verdict, same rounds, same per-relation instance
-    sizes, and the same event-log signature."""
+    """Semi-naive chase == naive chase on random mixed FD/IND/RD
+    implication questions: same verdict, same rounds, same per-relation
+    instance sizes, and the same event-log signature."""
     premises = [data.draw(inds(schema)) for _ in range(data.draw(st.integers(0, 3)))]
     premises += [data.draw(fds(schema)) for _ in range(data.draw(st.integers(0, 3)))]
-    if data.draw(st.booleans()):
-        target = data.draw(inds(schema))
-    else:
-        target = data.draw(fds(schema))
+    premises += [data.draw(rds(schema)) for _ in range(data.draw(st.integers(0, 2)))]
+    target = data.draw(st.one_of(inds(schema), fds(schema), rds(schema)))
 
     budget = dict(max_rounds=25, max_tuples=4000)
     try:
-        naive = chase_implies(schema, premises, target, strategy="naive", **budget)
+        naive = chase_implies_naive(schema, premises, target, **budget)
     except ChaseBudgetExceeded:
         naive = None
     try:
-        semi = chase_implies(schema, premises, target, strategy="semi-naive", **budget)
+        semi = chase_implies(schema, premises, target, **budget)
     except ChaseBudgetExceeded:
         semi = None
     if naive is None or semi is None:
-        # A diverging chase must diverge under both strategies.
+        # A diverging chase must diverge under both engines.
         assert naive is None and semi is None
         return
 

@@ -2,9 +2,10 @@
 
 On random schemas and random add/retract interleavings, the
 session-managed :class:`~repro.core.reach_index.ReachIndex` must agree
-with both retained oracles — the naive textbook BFS
-(``decide_ind_naive``) and the PR-3 kernel BFS (``decide_ind`` over a
-fresh :class:`~repro.core.ind_kernel.KernelIndex`) — on verdicts *and*
+with both oracles — the naive textbook BFS
+(:func:`repro.reference.decide_ind_naive`) and the PR-3 kernel BFS
+(``decide_ind`` over a fresh :class:`~repro.core.ind_kernel.KernelIndex`)
+— on verdicts *and*
 witness chains, under both implication semantics (which coincide on
 pure-IND sets, Theorem 3.1), and every chain must pass the independent
 :func:`chain_is_valid` checker.
@@ -13,9 +14,10 @@ pure-IND sets, Theorem 3.1), and every chain must pass the independent
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ind_decision import chain_is_valid, decide_ind, decide_ind_naive
+from repro.core.ind_decision import chain_is_valid, decide_ind
 from repro.core.ind_kernel import KernelIndex
 from repro.engine import ReasoningSession
+from repro.reference import decide_ind_naive
 
 from tests.properties.strategies import inds, schemas
 
